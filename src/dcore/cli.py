@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .anchored import anchored_decompose
-from .engine import EngineMetrics
+from .engine import EngineMetrics, SuperstepLimitError
 from .graph import (
     DirectedGraph,
     EdgeListError,
@@ -34,6 +34,7 @@ EXIT_USAGE = 2
 ALGOS = ("peel", "anchored", "skyline")
 MODES = ("vertex", "block")
 PARTITIONERS = ("hash", "seg")
+WORKERS_HELP = "accepted for compatibility and ignored: the simulator is single-threaded"
 
 
 class CliError(Exception):
@@ -101,24 +102,22 @@ def _write_results(path: str, g: DirectedGraph, per_vertex_pairs) -> None:
             fh.write(_format_line(g.labels[v], per_vertex_pairs[v]) + "\n")
 
 
-def _run_algo(g, algo, mode, blocks, partitioner, workers):
+def _run_algo(g, algo, mode, blocks, partitioner):
+    """Per-vertex result pairs, per-phase engine metrics and wall time."""
     start = time.perf_counter()
     if algo == "peel":
         table = peel_decompose(g)
         pairs = [table.pairs(v) for v in range(g.n)]
-        result, phases = table, []
+        phases = []
     else:
         parts = make_partition(partitioner, g, blocks)
         if algo == "anchored":
-            table, phases = anchored_decompose(g, parts, mode, workers=workers)
+            table, phases = anchored_decompose(g, parts, mode)
             pairs = [table.pairs(v) for v in range(g.n)]
-            result = table
         else:
-            skys, phases = skyline_decompose(g, parts, mode, workers=workers)
-            pairs = skys
-            result = skys
+            pairs, phases = skyline_decompose(g, parts, mode)
     wall = time.perf_counter() - start
-    return result, pairs, phases, wall
+    return pairs, phases, wall
 
 
 def _check_distributed_flags(args) -> tuple[str, int, str]:
@@ -136,9 +135,7 @@ def _check_distributed_flags(args) -> tuple[str, int, str]:
 def cmd_decompose(args) -> int:
     g = _load_graph(args.input)
     mode, blocks, partitioner = _check_distributed_flags(args)
-    _, pairs, phases, wall = _run_algo(
-        g, args.algo, mode, blocks, partitioner, args.workers
-    )
+    pairs, phases, wall = _run_algo(g, args.algo, mode, blocks, partitioner)
     _write_results(args.out, g, pairs)
     report = RunReport(
         algorithm=args.algo,
@@ -161,17 +158,12 @@ def cmd_verify(args) -> int:
     if args.algo == "peel":
         raise CliError("verify compares a distributed algorithm against peel")
     g = _load_graph(args.input)
-    mode = args.mode or "vertex"
-    blocks = args.blocks or 1
-    partitioner = args.partitioner or "hash"
-    parts = make_partition(partitioner, g, blocks)
+    mode, blocks, partitioner = _check_distributed_flags(args)
+    got, _, _ = _run_algo(g, args.algo, mode, blocks, partitioner)
     oracle = peel_decompose(g)
     if args.algo == "anchored":
-        table, _ = anchored_decompose(g, parts, mode, workers=args.workers)
-        got = table.rows
-        want = oracle.rows
+        want = [oracle.pairs(v) for v in range(g.n)]
     else:
-        got, _ = skyline_decompose(g, parts, mode, workers=args.workers)
         want = anchored_to_skyline(oracle)
     if args.corrupt_label is not None:
         v = g.id_map.get(args.corrupt_label)
@@ -194,7 +186,8 @@ def cmd_bench(args) -> int:
     g = _load_graph(args.input)
     algos = _parse_list(args.algos, ALGOS, "algo")
     modes = _parse_list(args.modes, MODES, "mode")
-    blocks_list = [_positive_int(b) for b in args.blocks.split(",")]
+    blocks_list = [_positive_int(b, "--blocks") for b in args.blocks.split(",")]
+    repeat = _positive_int(args.repeat, "--repeat")
     rows = []
     for algo in algos:
         if algo == "peel":
@@ -204,9 +197,9 @@ def cmd_bench(args) -> int:
         for mode, blocks in configs:
             metrics_runs = []
             walls = []
-            for _ in range(args.repeat):
-                _, _, phases, wall = _run_algo(
-                    g, algo, mode or "vertex", blocks or 1, args.partitioner, args.workers
+            for _ in range(repeat):
+                _, phases, wall = _run_algo(
+                    g, algo, mode or "vertex", blocks or 1, args.partitioner
                 )
                 metrics_runs.append(phases)
                 walls.append(wall)
@@ -260,10 +253,13 @@ def _parse_list(raw: str, allowed, kind: str) -> list[str]:
     return items
 
 
-def _positive_int(s: str) -> int:
-    value = int(s)
+def _positive_int(raw, flag: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise CliError(f"{flag} takes integers >= 1, got {raw!r}") from None
     if value < 1:
-        raise CliError("block counts must be >= 1")
+        raise CliError(f"{flag} takes integers >= 1, got {value}")
     return value
 
 
@@ -273,7 +269,7 @@ def _add_distributed_flags(p: argparse.ArgumentParser, with_out: bool) -> None:
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--blocks", type=int, default=None)
     p.add_argument("--partitioner", choices=PARTITIONERS, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     if with_out:
         p.add_argument("--out", required=True, help="result file path")
 
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", default="1")
     p.add_argument("--partitioner", choices=PARTITIONERS, default="hash")
     p.add_argument("--repeat", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="write a seeded random digraph as an edge list")
@@ -320,8 +316,10 @@ def main(argv=None) -> int:
         if args.blocks < 1:
             parser.error("--blocks must be >= 1")
     try:
+        if hasattr(args, "workers"):
+            _positive_int(args.workers, "--workers")
         return args.func(args)
-    except CliError as exc:
+    except (CliError, SuperstepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EdgeListError as exc:

@@ -1,22 +1,23 @@
 """Deterministic bulk-synchronous superstep simulator.
 
 A vertex program supplies four hooks: init, on_message, after_messages and
-extract.  The engine runs them either vertex-centrically (every vertex
-updates once per superstep) or block-centrically (each block iterates its
-own vertices to a local fixpoint per global superstep, buffering cross-block
-messages until the next one).  Execution terminates on the first superstep
-in which no vertex emits anything.
+extract.  Vertex-centric mode runs one update round per superstep and holds
+every message until the next one.  Block-centric mode iterates each block's
+rounds to a local fixpoint per superstep and holds only cross-block
+messages.  A run ends after the first superstep that delivers no message.
 
-Programs must keep on_message commutative over a superstep's message
-multiset and broadcast from after_messages only when their value changed;
-all programs in this package store latest-per-sender values, which
-satisfies both.  Under that contract results and metrics are identical
-for any worker count, block count and partitioner.
+Scheduling follows Pregel's vote-to-halt rule: in a round, a vertex runs
+on_message and after_messages only if it received a message in that round
+or emitted in its previous round (init counts as a round in which every
+vertex with a payload emitted).  So after_messages must return None unless
+one of those holds.  on_message must be commutative over messages from
+distinct senders.  The programs in this package keep latest-per-sender
+values and emit only on change, which satisfies both; results and metrics
+then equal those of sweeping every vertex in every round.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .graph import DirectedGraph, PartitionMap
@@ -58,7 +59,11 @@ class VertexProgram:
         raise NotImplementedError
 
     def after_messages(self, state, v: int, g: DirectedGraph):
-        """Return a payload to broadcast, or None when nothing changed."""
+        """Return a payload to broadcast, or None when nothing changed.
+
+        Must return None unless the vertex received a message in this round
+        or emitted in its previous one: the engine skips it otherwise.
+        """
         raise NotImplementedError
 
     def extract(self, state, v: int, g: DirectedGraph):
@@ -82,196 +87,101 @@ def default_superstep_cap(g: DirectedGraph) -> int:
     return 10 * (g.max_degree() + 1) + 2 * g.n
 
 
-def _chunks(items: list[int], parts: int) -> list[list[int]]:
-    parts = max(1, min(parts, len(items)) if items else 1)
-    size = -(-len(items) // parts) if items else 1
-    return [items[i : i + size] for i in range(0, len(items), size)] or [[]]
+def _run(program, g, parts, *, max_supersteps=None, workers=1, observer=None, phase=""):
+    """The scheduler loop behind both modes; parts=None is vertex mode.
 
-
-def run_vertex_centric(
-    program: VertexProgram,
-    g: DirectedGraph,
-    parts: PartitionMap | None = None,
-    *,
-    max_supersteps: int | None = None,
-    workers: int = 1,
-    observer=None,
-    phase: str = "",
-):
-    """Run to quiescence, one update per vertex per superstep.
-
-    `parts` is accepted for interface parity and ignored: vertex-centric
-    semantics (results and metrics) do not depend on the partition.
-    """
-    del parts
-    cap = max_supersteps if max_supersteps is not None else default_superstep_cap(g)
-    recipients = _recipients(program, g)
-    states = [None] * g.n
-    emissions: list[tuple[int, object]] = []
-    for v in range(g.n):
-        states[v], payload = program.init(v, g)
-        if payload is not None:
-            emissions.append((v, payload))
-    per_step = [sum(len(recipients[v]) for v, _ in emissions)]
-    if observer is not None:
-        observer(1, states)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while emissions:
-            if len(per_step) >= cap:
-                raise SuperstepLimitError(
-                    f"no quiescence within {cap} supersteps (phase {phase or '?'})"
-                )
-            inbox: dict[int, list[tuple[int, object]]] = {}
-            for v, payload in emissions:
-                for r in recipients[v]:
-                    inbox.setdefault(r, []).append((v, payload))
-
-            def run_range(vs):
-                out = []
-                for v in vs:
-                    for s, p in inbox.get(v, ()):
-                        program.on_message(states[v], s, p)
-                    payload = program.after_messages(states[v], v, g)
-                    if payload is not None:
-                        out.append((v, payload))
-                return out
-
-            if pool is None:
-                emissions = run_range(range(g.n))
-            else:
-                emissions = []
-                for part in pool.map(run_range, _chunks(list(range(g.n)), workers)):
-                    emissions.extend(part)
-            per_step.append(sum(len(recipients[v]) for v, _ in emissions))
-            if observer is not None:
-                observer(len(per_step), states)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    results = [program.extract(states[v], v, g) for v in range(g.n)]
-    metrics = EngineMetrics(
-        phase=phase,
-        supersteps=len(per_step),
-        messages_total=sum(per_step),
-        messages_per_step=per_step,
-    )
-    return results, metrics
-
-
-def run_block_centric(
-    program: VertexProgram,
-    g: DirectedGraph,
-    parts: PartitionMap,
-    *,
-    max_supersteps: int | None = None,
-    workers: int = 1,
-    observer=None,
-    phase: str = "",
-):
-    """Run with per-block local fixpoints between global supersteps.
-
-    Within a global superstep each block repeatedly delivers the messages
-    addressed to its own vertices and re-runs after_messages until nothing
-    more is emitted locally; messages crossing block boundaries wait for the
-    next global superstep.  Extracted results match run_vertex_centric.
-    The per-step message counts cover the initial broadcast plus cross-block
-    traffic only; intra-block deliveries after init are reported separately.
+    Vertex mode is one block with one round per superstep, and holds every
+    message for the next superstep.  Block mode holds only cross-block
+    messages.  `workers` is ignored.  `observer(step, states)` is called
+    after init as step 1 and then after every superstep.
     """
     cap = max_supersteps if max_supersteps is not None else default_superstep_cap(g)
+    init, on_message, after = program.init, program.on_message, program.after_messages
     recipients = _recipients(program, g)
-    block_of = parts.block_of
-    n_blocks = parts.n_blocks
-    members: list[list[int]] = [[] for _ in range(n_blocks)]
-    for v in range(g.n):
-        members[block_of[v]].append(v)
-
+    if parts is None:
+        block_of, n_blocks = [0] * g.n, 1
+        held_to, local_to = recipients, [()] * g.n
+    else:
+        block_of, n_blocks = parts.block_of, parts.n_blocks
+        held_to, local_to = [], []
+        for v, rs in enumerate(recipients):
+            held_to.append([r for r in rs if block_of[r] != block_of[v]])
+            local_to.append([r for r in rs if block_of[r] == block_of[v]])
     states = [None] * g.n
-    # pending[b] = messages to deliver to block b at the next global superstep
-    pending: list[list[tuple[int, int, object]]] = [[] for _ in range(n_blocks)]
-    init_count = 0
+    # active[b]: block b's emitters of its last round plus receivers since then
+    active: list[set[int]] = [set() for _ in range(n_blocks)]
+
+    def deliver(messages: list[tuple[int, object, list[int]]]) -> None:
+        for s, payload, rs in messages:
+            for r in rs:
+                on_message(states[r], s, payload)
+                active[block_of[r]].add(r)
+
+    held = []
     for v in range(g.n):
-        states[v], payload = program.init(v, g)
+        states[v], payload = init(v, g)
         if payload is not None:
-            for r in recipients[v]:
-                pending[block_of[r]].append((v, r, payload))
-                init_count += 1
-    per_step = [init_count]
+            active[block_of[v]].add(v)
+            held.append((v, payload, recipients[v]))
+    delivered = sum(len(rs) for _, _, rs in held)
+    per_step = [delivered]
     intra_total = 0
-    emitted_last = init_count
     if observer is not None:
         observer(1, states)
-
-    def run_block(b: int):
-        local = pending[b]
-        cross: list[tuple[int, int, object]] = []
-        intra = 0
-        emitted = 0
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > cap + 1:
+    while delivered:
+        if len(per_step) >= cap:
+            raise SuperstepLimitError(
+                f"no quiescence within {cap} supersteps (phase {phase or '?'})"
+            )
+        deliver(held)
+        held = []
+        delivered = 0
+        for b in range(n_blocks):
+            for _ in range(cap + 1):
+                run, active[b] = active[b], set()
+                inbox = []
+                sent = 0
+                for v in run:
+                    payload = after(states[v], v, g)
+                    if payload is not None:
+                        active[b].add(v)
+                        sent += len(recipients[v])
+                        held.append((v, payload, held_to[v]))
+                        inbox.append((v, payload, local_to[v]))
+                delivered += sent
+                if parts is None or not sent:
+                    break
+                intra_total += sum(len(rs) for _, _, rs in inbox)
+                deliver(inbox)
+            else:
                 raise SuperstepLimitError(
                     f"block {b}: no local fixpoint within {cap} iterations"
                 )
-            for s, r, p in local:
-                program.on_message(states[r], s, p)
-            local = []
-            emitted_now = 0
-            for v in members[b]:
-                payload = program.after_messages(states[v], v, g)
-                if payload is None:
-                    continue
-                for r in recipients[v]:
-                    if block_of[r] == b:
-                        local.append((v, r, payload))
-                        intra += 1
-                    else:
-                        cross.append((v, r, payload))
-                emitted_now += len(recipients[v])
-            emitted += emitted_now
-            if emitted_now == 0:
-                break
-        return cross, intra, emitted
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while emitted_last:
-            if len(per_step) >= cap:
-                raise SuperstepLimitError(
-                    f"no quiescence within {cap} supersteps (phase {phase or '?'})"
-                )
-            if pool is None:
-                outcomes = [run_block(b) for b in range(n_blocks)]
-            else:
-                outcomes = list(pool.map(run_block, range(n_blocks)))
-            next_pending: list[list[tuple[int, int, object]]] = [
-                [] for _ in range(n_blocks)
-            ]
-            cross_count = 0
-            emitted_last = 0
-            for cross, intra, emitted in outcomes:
-                intra_total += intra
-                emitted_last += emitted
-                for s, r, p in cross:
-                    next_pending[block_of[r]].append((s, r, p))
-                    cross_count += 1
-            pending = next_pending
-            per_step.append(cross_count)
-            if observer is not None:
-                observer(len(per_step), states)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        per_step.append(sum(len(rs) for _, _, rs in held))
+        if observer is not None:
+            observer(len(per_step), states)
     results = [program.extract(states[v], v, g) for v in range(g.n)]
-    metrics = EngineMetrics(
-        phase=phase,
-        supersteps=len(per_step),
-        messages_total=sum(per_step),
-        messages_per_step=per_step,
-        intra_messages=intra_total,
-    )
+    metrics = EngineMetrics(phase, len(per_step), sum(per_step), per_step, intra_total)
     return results, metrics
+
+
+def run_vertex_centric(program, g, parts=None, **kwargs):
+    """Run to quiescence, one update round per superstep.
+
+    `parts` is accepted for interface parity and ignored: vertex-centric
+    results and metrics do not depend on the partition.
+    """
+    return _run(program, g, None, **kwargs)
+
+
+def run_block_centric(program, g, parts, **kwargs):
+    """Run with per-block local fixpoints between global supersteps.
+
+    Results match run_vertex_centric.  messages_per_step counts the initial
+    broadcast plus cross-block traffic; intra-block deliveries after init
+    are counted in intra_messages.
+    """
+    return _run(program, g, parts, **kwargs)
 
 
 def run_program(
@@ -282,10 +192,8 @@ def run_program(
     **kwargs,
 ):
     """Dispatch on execution mode ("vertex" | "block")."""
-    if mode == "vertex":
-        return run_vertex_centric(program, g, parts, **kwargs)
-    if mode == "block":
-        if parts is None:
-            raise ValueError("block mode requires a partition")
-        return run_block_centric(program, g, parts, **kwargs)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("vertex", "block"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "block" and parts is None:
+        raise ValueError("block mode requires a partition")
+    return _run(program, g, parts if mode == "block" else None, **kwargs)

@@ -95,3 +95,63 @@ def naive_d_index_over_sets(in_sets, out_sets):
 def set_dominated_by(r2, r1):
     """True when every pair of r2 is weakly dominated by some pair of r1."""
     return all(any(k <= k1 and l <= l1 for (k1, l1) in r1) for (k, l) in r2)
+
+
+def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
+    """Full-sweep superstep scheduler: every vertex runs in every round.
+
+    block_of=None is vertex mode: each superstep is one round in which
+    every vertex takes its messages and runs after_messages, and all
+    messages wait for the next superstep.  Otherwise each block sweeps all
+    of its members in rounds until a round sends nothing, delivering
+    same-block messages between rounds; cross-block messages wait for the
+    next superstep.  A run stops after a superstep that delivers nothing.
+    Returns (results, supersteps, messages per superstep, intra messages).
+    """
+    n = g.n
+    if program.broadcast == "out":
+        targets = [list(g.out_adj[v]) for v in range(n)]
+    elif program.broadcast == "in":
+        targets = [list(g.in_adj[v]) for v in range(n)]
+    else:
+        targets = [sorted(set(g.in_adj[v]) | set(g.out_adj[v])) for v in range(n)]
+    blocks = [0] * n if block_of is None else list(block_of)
+    states = [None] * n
+    waiting = []  # (sender, recipient, payload) held for the next superstep
+    for v in range(n):
+        states[v], payload = program.init(v, g)
+        if payload is not None:
+            waiting += [(v, r, payload) for r in targets[v]]
+    per_step = [len(waiting)]
+    intra = 0
+    delivered_last = len(waiting)
+    while delivered_last:
+        if len(per_step) >= max_supersteps:
+            raise RuntimeError("naive scheduler did not quiesce")
+        incoming, waiting = waiting, []
+        delivered_last = 0
+        for b in sorted(set(blocks)):
+            members = [v for v in range(n) if blocks[v] == b]
+            inbox = [m for m in incoming if blocks[m[1]] == b]
+            while True:
+                for s, r, payload in inbox:
+                    program.on_message(states[r], s, payload)
+                inbox = []
+                sent = 0
+                for v in members:
+                    payload = program.after_messages(states[v], v, g)
+                    if payload is None:
+                        continue
+                    for r in targets[v]:
+                        if block_of is not None and blocks[r] == b:
+                            inbox.append((v, r, payload))
+                            intra += 1
+                        else:
+                            waiting.append((v, r, payload))
+                    sent += len(targets[v])
+                delivered_last += sent
+                if block_of is None or sent == 0:
+                    break
+        per_step.append(len(waiting))
+    results = [program.extract(states[v], v, g) for v in range(n)]
+    return results, len(per_step), per_step, intra

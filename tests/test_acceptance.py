@@ -297,7 +297,7 @@ def test_criterion_7_determinism(ref8):
                 ok &= metrics[0] == metrics[1] == metrics[2]
     _report(
         7,
-        "determinism across repeats and 1- vs 4-thread execution",
+        "determinism across repeats and workers=1 vs 4",
         ok,
         "results and superstep/message metrics identical",
     )

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dcore import engine
 from dcore.cli import main
 
 from conftest import REF8_ARCS
@@ -167,6 +168,43 @@ def test_bench_vertex_mode_messages_constant_across_blocks(ref8_file, capsys):
 
 def test_bench_rejects_unknown_algo(ref8_file, capsys):
     assert main(["bench", str(ref8_file), "--algos", "wat"]) == 2
+
+
+def _one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    for needle in needles:
+        assert needle in err
+
+
+def test_bench_rejects_zero_repeat(ref8_file, capsys):
+    assert main(["bench", str(ref8_file), "--repeat", "0"]) == 2
+    _one_line_error(capsys, "--repeat")
+
+
+def test_bench_rejects_non_integer_blocks(ref8_file, capsys):
+    assert main(["bench", str(ref8_file), "--blocks", "abc"]) == 2
+    _one_line_error(capsys, "--blocks", "'abc'")
+
+
+def test_superstep_limit_is_reported_not_raised(ref8_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "default_superstep_cap", lambda g: 2)
+    rc = main([
+        "decompose", str(ref8_file), "--algo", "anchored", "--out", str(tmp_path / "x.txt"),
+    ])
+    assert rc == 2
+    _one_line_error(capsys, "no quiescence within 2 supersteps")
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify", "bench"])
+def test_zero_workers_rejected(command, ref8_file, tmp_path, capsys):
+    argv = [command, str(ref8_file), "--workers", "0"]
+    if command != "bench":
+        argv += ["--algo", "anchored"]
+    if command == "decompose":
+        argv += ["--out", str(tmp_path / "x.txt")]
+    assert main(argv) == 2
+    _one_line_error(capsys, "--workers")
 
 
 def test_console_script_runs(tmp_path):

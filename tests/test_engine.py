@@ -2,8 +2,9 @@
 
 import pytest
 
-from dcore.anchored import HIndexFixpoint
+from dcore.anchored import HIndexFixpoint, LuppProgram, RefineProgram
 from dcore.engine import (
+    EngineMetrics,
     SuperstepLimitError,
     VertexProgram,
     default_superstep_cap,
@@ -11,8 +12,10 @@ from dcore.engine import (
     run_program,
     run_vertex_centric,
 )
-from dcore.graph import generate_random_digraph, hash_partition, make_partition
+from dcore.graph import build_graph, generate_random_digraph, hash_partition, make_partition
+from dcore.skyline import SkylineProgram
 
+from _naive import naive_schedule
 from conftest import REF8_KMAX
 
 
@@ -48,6 +51,33 @@ class ChattyProgram(VertexProgram):
 
     def extract(self, state, v, g):
         return state
+
+
+class CountdownProgram(VertexProgram):
+    """Emits every round until its countdown runs out, whatever it receives.
+
+    Vertex v starts at v % 5 and emits its remaining count; received
+    payloads are only summed.  A scheduler that ran only message receivers
+    would stall the vertices whose in-neighbors fall silent first.
+    """
+
+    broadcast = "out"
+
+    def init(self, v, g):
+        state = {"left": v % 5, "got": 0}
+        return state, (state["left"] or None)
+
+    def on_message(self, state, sender, payload):
+        state["got"] += payload
+
+    def after_messages(self, state, v, g):
+        if state["left"] == 0:
+            return None
+        state["left"] -= 1
+        return state["left"]
+
+    def extract(self, state, v, g):
+        return (state["left"], state["got"])
 
 
 def test_silent_program_runs_one_superstep(ref8):
@@ -155,3 +185,71 @@ def test_empty_graph_runs():
     results, metrics = run_vertex_centric(HIndexFixpoint("in"), g)
     assert results == []
     assert metrics.supersteps == 1
+
+
+def _reference(program, g, parts=None, phase=""):
+    block_of = None if parts is None else parts.block_of
+    results, supersteps, per_step, intra = naive_schedule(program, g, block_of)
+    return results, EngineMetrics(phase, supersteps, sum(per_step), per_step, intra)
+
+
+def _program_factories(g):
+    kmaxes = _reference(HIndexFixpoint("in"), g)[0]
+    lmaxes = _reference(HIndexFixpoint("out"), g)[0]
+    lupps = _reference(LuppProgram(kmaxes), g)[0]
+    return {
+        "kmax": lambda: HIndexFixpoint("in"),
+        "lmax": lambda: HIndexFixpoint("out"),
+        "lupp": lambda: LuppProgram(kmaxes),
+        "refine": lambda: RefineProgram(kmaxes, lupps),
+        "skyline": lambda: SkylineProgram(list(zip(kmaxes, lmaxes))),
+    }
+
+
+@pytest.mark.parametrize("n,p,seed", [(30, 0.15, 1), (60, 0.06, 2), (80, 0.04, 3)])
+def test_active_set_matches_full_sweep_reference(n, p, seed):
+    g = generate_random_digraph(n, p, seed=seed)
+    for name, make in _program_factories(g).items():
+        assert run_vertex_centric(make(), g) == _reference(make(), g), name
+        for part, blocks in [("hash", 1), ("hash", 3), ("seg", 4)]:
+            parts = make_partition(part, g, blocks)
+            got = run_block_centric(make(), g, parts)
+            assert got == _reference(make(), g, parts), (name, part, blocks)
+
+
+def test_emitter_without_messages_stays_active():
+    ring = build_graph(10, [(v, (v + 1) % 10) for v in range(10)])
+    results, metrics = run_vertex_centric(CountdownProgram(), ring)
+    # v % 5 >= r vertices emit in round r, each to one successor
+    assert metrics.messages_per_step == [8, 8, 6, 4, 2, 0]
+    assert [left for left, _ in results] == [0] * 10
+    assert (results, metrics) == _reference(CountdownProgram(), ring)
+    # On two hash blocks every ring arc crosses blocks.  Local rounds go on
+    # while a round sends anything, so all countdowns finish in superstep 1.
+    _, metrics = run_block_centric(CountdownProgram(), ring, hash_partition(ring, 2))
+    assert metrics.messages_per_step == [8, 20, 0]
+    g = generate_random_digraph(40, 0.1, seed=5)
+    assert run_vertex_centric(CountdownProgram(), g) == _reference(CountdownProgram(), g)
+    for blocks in (1, 3):
+        parts = hash_partition(g, blocks)
+        got = run_block_centric(CountdownProgram(), g, parts)
+        assert got == _reference(CountdownProgram(), g, parts)
+
+
+def test_long_path_updates_are_linear():
+    g = build_graph(100, [(i, i + 1) for i in range(99)])
+    prog = HIndexFixpoint("in")
+    hook = prog.after_messages
+    calls = []
+
+    def counting(state, v, g):
+        calls.append(v)
+        return hook(state, v, g)
+
+    prog.after_messages = counting
+    _, metrics = run_vertex_centric(prog, g)
+    assert metrics.supersteps == 100
+    # Round 1 runs all n vertices, as all emitted at init; every later round
+    # runs only the vertex that just dropped and its successor.  A full sweep
+    # would make n * (supersteps - 1) = 9900 calls.
+    assert len(calls) == g.n + 2 * (metrics.supersteps - 2)
