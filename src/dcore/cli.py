@@ -232,9 +232,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if not 0.0 <= args.p <= 1.0:
-        raise CliError("--p must lie in [0, 1]")
-    g = generate_random_digraph(args.n, args.p, args.seed)
+    try:
+        g = generate_random_digraph(args.n, args.p, args.seed)
+    except ValueError as exc:
+        raise CliError(f"bad gen parameters: {exc}") from None
     try:
         write_edge_list(g, args.out)
     except OSError as exc:

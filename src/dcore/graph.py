@@ -272,6 +272,8 @@ def generate_random_digraph(n: int, p: float, seed: int) -> DirectedGraph:
 
     The same (n, p, seed) always produces the same arc set.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = random.Random(seed)

@@ -1,12 +1,18 @@
 """Brute-force reference implementations used only as test oracles.
 
 Everything here favors obviousness over speed and deliberately shares no
-code with the production paths it checks.
+code with the production paths it checks.  NaiveSkylineProgram recomputes
+the D-index from scratch with the reference kernel d_index_over_sets, which
+the production skyline program no longer calls and which test_skyline.py
+checks against the combinatorial brute force below.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from dcore.engine import VertexProgram
+from dcore.kernels import d_index_over_sets
 
 
 def naive_dcore(g, k, l):
@@ -155,3 +161,58 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
         per_step.append(len(waiting))
     results = [program.extract(states[v], v, g) for v in range(n)]
     return results, len(per_step), per_step, intra
+
+
+class _SkyState:
+    __slots__ = ("d", "nbr", "max_k", "max_l", "flag")
+
+
+class NaiveSkylineProgram(VertexProgram):
+    """Skyline program that reruns the D-index over every neighbor's whole set.
+
+    Each vertex caches the latest set and maxima of every neighbor and, when
+    any message arrived, recomputes d_index_over_sets from scratch.  The
+    payload is the bare canonical set.
+    """
+
+    broadcast = "both"
+
+    def __init__(self, init_pairs):
+        self.init_pairs = init_pairs
+
+    def init(self, v, g):
+        st = _SkyState()
+        st.d = (self.init_pairs[v],)
+        st.nbr = {}
+        st.max_k = {}
+        st.max_l = {}
+        st.flag = True
+        return st, st.d
+
+    def on_message(self, st, sender, payload):
+        st.nbr[sender] = payload
+        st.max_k[sender] = payload[-1][0]
+        st.max_l[sender] = payload[0][1]
+        st.flag = True
+
+    def after_messages(self, st, v, g):
+        if not st.flag:
+            return None
+        st.flag = False
+        nbr = st.nbr
+        in_adj, out_adj = g.in_adj[v], g.out_adj[v]
+        new = tuple(
+            d_index_over_sets(
+                [nbr[u] for u in in_adj],
+                [nbr[u] for u in out_adj],
+                in_max_k=[st.max_k[u] for u in in_adj],
+                out_max_l=[st.max_l[u] for u in out_adj],
+            )
+        )
+        if new != st.d:
+            st.d = new
+            return new
+        return None
+
+    def extract(self, st, v, g):
+        return list(st.d)

@@ -1,4 +1,4 @@
-"""Shared fixtures: two reference graphs and dataset discovery.
+"""Shared fixtures: two reference graphs, a skewed generator, dataset discovery.
 
 The two reference graphs have hand-checked decompositions, down to the
 per-superstep traces of every algorithm phase; test_peel.py re-derives all
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -82,6 +83,26 @@ def ref8() -> DirectedGraph:
 @pytest.fixture(scope="session")
 def ref7() -> DirectedGraph:
     return _labeled_graph(REF7_ARCS, 7)
+
+
+def pa_digraph(n: int, d: int, seed: int) -> DirectedGraph:
+    """Skewed digraph by preferential attachment, seeded with random.Random.
+
+    Every vertex v >= d links to d distinct earlier vertices, each drawn with
+    probability proportional to its degree (vertices 0..d-1 count one extra),
+    and a fair coin orients each of those arcs.
+    """
+    rng = random.Random(seed)
+    weighted = list(range(d))
+    arcs = []
+    for v in range(d, n):
+        ends = set()
+        while len(ends) < d:
+            ends.add(rng.choice(weighted))
+        for u in sorted(ends):
+            arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+        weighted += sorted(ends) + [v] * d
+    return build_graph(n, arcs)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,14 @@ def test_gen_rejects_bad_p(tmp_path, capsys):
     assert main(["gen", "--n", "3", "--p", "1.5", "--out", str(tmp_path / "x.txt")]) == 2
 
 
+def test_gen_rejects_negative_n(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    assert main(["gen", "--n", "-3", "--p", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "-3" in err[0]
+    assert not out.exists()
+
+
 def test_bench_table_and_repeat_determinism(ref8_file, capsys):
     rc = main([
         "bench", str(ref8_file), "--algos", "peel,anchored,skyline",

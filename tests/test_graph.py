@@ -152,6 +152,11 @@ def test_generator_rejects_bad_probability():
         generate_random_digraph(5, 1.5, seed=0)
 
 
+def test_generator_rejects_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        generate_random_digraph(-3, 0.5, seed=0)
+
+
 def test_generated_graphs_are_consistent():
     for seed in range(5):
         generate_random_digraph(30, 0.15, seed=seed).check_consistency()

@@ -2,14 +2,16 @@
 
 import random
 
-from dcore.engine import run_vertex_centric
+import pytest
+
+from dcore.engine import run_program, run_vertex_centric
 from dcore.graph import build_graph, generate_random_digraph, make_partition
 from dcore.kernels import d_index, is_canonical_skyline
 from dcore.peel import anchored_to_skyline, peel_decompose
 from dcore.skyline import SkylineProgram, d_index_step, skyline_decompose, tight_init
 
-from _naive import naive_d_index_over_sets, set_dominated_by
-from conftest import REF7_SC, REF8_SKYLINE, REF8_TIGHT_INIT
+from _naive import NaiveSkylineProgram, naive_d_index_over_sets, set_dominated_by
+from conftest import REF7_SC, REF8_SKYLINE, REF8_TIGHT_INIT, pa_digraph
 
 
 def test_tight_init_ref8(ref8):
@@ -188,3 +190,70 @@ def test_skyline_rounds_at_most_anchored_rounds_on_fixtures(ref7, ref8):
         _, sky_metrics = skyline_decompose(graph)
         _, ac_metrics = anchored_decompose(graph)
         assert sky_metrics[-1].supersteps <= sum(m.supersteps for m in ac_metrics)
+
+
+GRAPH_SOURCES = ["ref7", "ref8", (40, 0.25, 1), (60, 0.12, 2), (80, 0.1, 3)]
+
+
+def _graph(source, request):
+    if isinstance(source, str):
+        return request.getfixturevalue(source)
+    return generate_random_digraph(*source)
+
+
+def _d_trace(program, g, parts, mode):
+    snaps = []
+    _, metrics = run_program(
+        program, g, parts, mode,
+        observer=lambda _, states: snaps.append([s.d for s in states]),
+    )
+    return snaps, metrics
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_incremental_program_matches_from_scratch_every_superstep(source, request):
+    g = _graph(source, request)
+    tight, _ = tight_init(g)
+    # Degree pairs are loose but still bound every neighbor H-index, so the
+    # sets start higher and neighbors drop whole rows of the histograms.
+    degrees = [(len(g.in_adj[v]), len(g.out_adj[v])) for v in range(g.n)]
+    for pairs in (tight, degrees):
+        for mode, parts in [
+            ("vertex", None),
+            ("block", make_partition("hash", g, 3)),
+            ("block", make_partition("seg", g, 4)),
+        ]:
+            got = _d_trace(SkylineProgram(pairs), g, parts, mode)
+            want = _d_trace(NaiveSkylineProgram(pairs), g, parts, mode)
+            assert got == want, (pairs is tight, mode)
+    # the loose start still ends at the oracle's skylines
+    assert got[0][-1] == [tuple(sky) for sky in anchored_to_skyline(peel_decompose(g))]
+
+
+def _reversed(g):
+    return build_graph(g.n, [(v, u) for u in range(g.n) for v in g.out_adj[u]], g.labels)
+
+
+def _transposed(skys):
+    return [sorted((l, k) for k, l in sky) for sky in skys]
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_reversing_every_arc_transposes_every_skyline(source, request):
+    g = _graph(source, request)
+    rev = _reversed(g)
+    want = _transposed(skyline_decompose(g)[0])
+    assert anchored_to_skyline(peel_decompose(rev)) == want
+    assert skyline_decompose(rev)[0] == want
+    parts = make_partition("hash", rev, 3)
+    assert skyline_decompose(rev, parts, "block")[0] == want
+
+
+def test_skyline_equals_oracle_on_5000_vertex_skewed_graph():
+    g = pa_digraph(5000, 8, seed=5)
+    want = anchored_to_skyline(peel_decompose(g))
+    assert max(k for sky in want for k, _ in sky) >= 3
+    assert sum(len(sky) > 1 for sky in want) > 100
+    assert skyline_decompose(g)[0] == want
+    parts = make_partition("hash", g, 8)
+    assert skyline_decompose(g, parts, "block")[0] == want
