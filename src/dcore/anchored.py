@@ -7,8 +7,28 @@ III decrements each bound until enough neighbors support it.  Every tracked
 scalar only ever decreases, which is what guarantees quiescence.
 
 Messages in phases II/III carry the sender's whole per-k array plus the
-list of entries that changed; receivers key their caches by sender, so the
-update order within a superstep is irrelevant.
+ascending list of slots that changed; receivers keep a reference to each
+sender's latest array (the shared payload tuple, never a copy).
+
+No phase rescans its neighbors on every change.  Each vertex keeps, per
+value (per slot k in phases II/III), a count of the neighbors whose latest
+value there is at or above its own: the counting computeIndex of Montresor,
+De Pellegrini and Miorandi (TPDS 2013).  A message decrements a count only
+when the neighbor's value crosses from at or above the vertex's value to
+below it, and flags the slot only when the count then falls short of what
+the value needs.  A short slot is the only kind that can drop.  In phases I
+and II it gets its H-index recomputed from the neighbors' values and its
+count recounted at the new value; in phase III it is lowered by one and its
+counts gain the neighbors sitting exactly at the new threshold.  So every
+decision to lower a value, and with it every emitted value, superstep and
+message, is the one a full rescan would make.  Counts are sums over
+senders, so the update order within a superstep is irrelevant.
+
+The counts are seeded by one full scan in each vertex's first
+after_messages, from the init messages.  That relies on the engine's
+contract: every vertex emits at init, and all init messages are delivered
+before any vertex runs after_messages.  Both engine modes and the
+full-sweep reference scheduler of the tests keep it.
 """
 
 from __future__ import annotations
@@ -19,8 +39,36 @@ from .kernels import h_index
 from .peel import AnchoredTable
 
 
+def _h_support(vals) -> tuple[int, int]:
+    """H-index h of vals and how many of vals are >= h.
+
+    The second number is the >=-counter phases I and II keep per value:
+    while it stays >= h, no neighbor drop can lower the H-index.
+    """
+    h = h_index(vals)
+    ge = 0
+    for x in vals:
+        if x >= h:
+            ge += 1
+    return h, ge
+
+
+def _column(arrays, k: int) -> list[int]:
+    """Slot k of every array long enough to have one."""
+    return [a[k] for a in arrays if k < len(a)]
+
+
+def _support(arrays, k: int, thr: int) -> int:
+    """How many arrays reach slot k with a value >= thr there."""
+    n = 0
+    for a in arrays:
+        if k < len(a) and a[k] >= thr:
+            n += 1
+    return n
+
+
 class _HState:
-    __slots__ = ("value", "nbr", "flag")
+    __slots__ = ("value", "nbr", "ge")
 
 
 class HIndexFixpoint(VertexProgram):
@@ -30,6 +78,11 @@ class HIndexFixpoint(VertexProgram):
     consume="out" is the mirror image and converges to lmax(v).  A vertex
     re-broadcasts only when its value drops, and drops are the only way the
     H-index of a neighbor can fall, so quiescence is a true fixpoint.
+
+    ge counts the neighbors whose latest value is >= value; it starts at -1
+    so the first round computes the H-index and seeds it.  After that a
+    vertex recomputes only when ge < value, which is exactly when the
+    H-index has fallen below value.
     """
 
     def __init__(self, consume: str = "in"):
@@ -46,19 +99,19 @@ class HIndexFixpoint(VertexProgram):
         adj = self._adj(v, g)
         st.value = len(adj)
         st.nbr = dict.fromkeys(adj, 0)
-        st.flag = True
+        st.ge = -1
         return st, st.value
 
     def on_message(self, st, sender, payload):
-        st.nbr[sender] = payload
-        if payload < st.value:
-            st.flag = True
+        nbr = st.nbr
+        if payload < st.value <= nbr[sender]:
+            st.ge -= 1
+        nbr[sender] = payload
 
     def after_messages(self, st, v, g):
-        if not st.flag:
+        if st.ge >= st.value:
             return None
-        st.flag = False
-        h = h_index(st.nbr.values())
+        h, st.ge = _h_support(st.nbr.values())
         if h < st.value:
             st.value = h
             return h
@@ -68,8 +121,8 @@ class HIndexFixpoint(VertexProgram):
         return st.value
 
 
-class _ArrayState:
-    __slots__ = ("arr", "nbr", "flags")
+class _LuppState:
+    __slots__ = ("arr", "nbr", "ge", "flags")
 
 
 class LuppProgram(VertexProgram):
@@ -80,6 +133,16 @@ class LuppProgram(VertexProgram):
     a neighbor's own array length, so G[k] is never materialized.  Arrays
     start from the full-graph out-degree, a valid upper bound that converges
     to the same fixpoint.
+
+    nbr maps each out-neighbor whose init message has arrived to its latest
+    array, and ge[k] counts the out-neighbors whose value at k is >= arr[k].
+    Every slot is flagged at init.  The first after_messages therefore
+    computes the H-index of every slot from the init arrays and seeds ge;
+    the engine delivers all init messages before it runs.  After that,
+    on_message decrements ge[k] when a neighbor's value at k crosses below
+    arr[k], and flags k only if then ge[k] < arr[k], which is exactly when
+    the slot's H-index has fallen.  after_messages recomputes only flagged
+    slots: it lowers each to its new H-index and recounts ge there.
     """
 
     broadcast = "in"
@@ -88,44 +151,54 @@ class LuppProgram(VertexProgram):
         self.kmaxes = kmaxes
 
     def init(self, v, g):
-        st = _ArrayState()
+        st = _LuppState()
         width = self.kmaxes[v] + 1
         st.arr = [g.out_degree(v)] * width
         st.nbr = {}
+        st.ge = [0] * width
         st.flags = set(range(width))
         return st, (tuple(st.arr), tuple(range(width)))
 
     def on_message(self, st, sender, payload):
         vals, changed = payload
-        st.nbr[sender] = vals
-        width = len(st.arr)
+        nbr = st.nbr
+        old = nbr.get(sender)
+        nbr[sender] = vals
+        if old is None:
+            return  # init message: the first after_messages seeds ge
+        arr, ge = st.arr, st.ge
+        width = len(arr)
         for k in changed:
-            if k < width and vals[k] < st.arr[k]:
-                st.flags.add(k)
+            if k >= width:
+                break
+            a = arr[k]
+            if old[k] >= a > vals[k]:
+                ge[k] -= 1
+                if ge[k] < a:
+                    st.flags.add(k)
 
     def after_messages(self, st, v, g):
-        if not st.flags:
+        flags = st.flags
+        if not flags:
             return None
-        out_adj = g.out_adj[v]
-        nbr = st.nbr
+        arr, ge, arrays = st.arr, st.ge, st.nbr.values()
         changed = []
-        for k in sorted(st.flags):
-            vals = []
-            for u in out_adj:
-                arr = nbr.get(u)
-                if arr is not None and k < len(arr):
-                    vals.append(arr[k])
-            h = h_index(vals)
-            if h < st.arr[k]:
-                st.arr[k] = h
+        for k in sorted(flags):
+            h, ge[k] = _h_support(_column(arrays, k))
+            if h < arr[k]:
+                arr[k] = h
                 changed.append(k)
-        st.flags.clear()
+        flags.clear()
         if changed:
-            return (tuple(st.arr), tuple(changed))
+            return (tuple(arr), tuple(changed))
         return None
 
     def extract(self, st, v, g):
         return list(st.arr)
+
+
+class _RefineState:
+    __slots__ = ("arr", "nin", "nout", "cin", "cout", "flags")
 
 
 class RefineProgram(VertexProgram):
@@ -137,6 +210,18 @@ class RefineProgram(VertexProgram):
     re-examination next round, so chains of decrements advance one step per
     superstep exactly as the refinement protocol prescribes.  Neighbors
     whose own array does not reach k count as zero.
+
+    nin/nout map each in-/out-neighbor to its latest array (a neighbor on
+    both sides is in both; the empty tuple until its init message arrives).
+    cin[k]/cout[k] count the neighbors of that side whose value at k is
+    >= arr[k].  The first after_messages seeds both with one full scan of
+    the init arrays, which the engine delivers before it runs, and then
+    checks every slot.  After that, on_message decrements a count when a
+    neighbor's value at k crosses below arr[k], and flags k when the count
+    falls short (cin[k] < k or cout[k] < arr[k]).  after_messages lowers each
+    flagged or just-lowered slot by one if a count is still short, and adds
+    to both counts the neighbors whose value at k is exactly the new
+    threshold.
     """
 
     broadcast = "both"
@@ -146,49 +231,66 @@ class RefineProgram(VertexProgram):
         self.lupps = lupps
 
     def init(self, v, g):
-        st = _ArrayState()
+        st = _RefineState()
         st.arr = list(self.lupps[v])
-        st.nbr = {}
+        st.nin = dict.fromkeys(g.in_adj[v], ())
+        st.nout = dict.fromkeys(g.out_adj[v], ())
+        st.cin = st.cout = None
         st.flags = set(range(len(st.arr)))
         return st, (tuple(st.arr), tuple(range(len(st.arr))))
 
     def on_message(self, st, sender, payload):
         vals, changed = payload
-        st.nbr[sender] = vals
-        width = len(st.arr)
-        for k in changed:
-            if k < width:
-                st.flags.add(k)
+        arr = st.arr
+        width = len(arr)
+        old = st.nin.get(sender)
+        if old is not None:
+            st.nin[sender] = vals
+            if old:
+                cin = st.cin
+                for k in changed:
+                    if k >= width:
+                        break
+                    a = arr[k]
+                    if old[k] >= a > vals[k]:
+                        cin[k] -= 1
+                        if cin[k] < k:
+                            st.flags.add(k)
+        old = st.nout.get(sender)
+        if old is not None:
+            st.nout[sender] = vals
+            if old:
+                cout = st.cout
+                for k in changed:
+                    if k >= width:
+                        break
+                    a = arr[k]
+                    if old[k] >= a > vals[k]:
+                        cout[k] -= 1
+                        if cout[k] < a:
+                            st.flags.add(k)
 
     def after_messages(self, st, v, g):
-        if not st.flags:
+        flags = st.flags
+        if not flags:
             return None
-        nbr = st.nbr
+        arr, ins, outs = st.arr, st.nin.values(), st.nout.values()
+        if st.cin is None:
+            st.cin = [_support(ins, k, thr) for k, thr in enumerate(arr)]
+            st.cout = [_support(outs, k, thr) for k, thr in enumerate(arr)]
+        cin, cout = st.cin, st.cout
         changed = []
-        for k in sorted(st.flags):
-            thr = st.arr[k]
-            if thr == 0:
-                continue
-            support_in = 0
-            for u in g.in_adj[v]:
-                arr = nbr.get(u)
-                if arr is not None and k < len(arr) and arr[k] >= thr:
-                    support_in += 1
-            if support_in < k:
-                st.arr[k] = thr - 1
-                changed.append(k)
-                continue
-            support_out = 0
-            for u in g.out_adj[v]:
-                arr = nbr.get(u)
-                if arr is not None and k < len(arr) and arr[k] >= thr:
-                    support_out += 1
-            if support_out < thr:
-                st.arr[k] = thr - 1
+        for k in sorted(flags):
+            thr = arr[k]
+            if thr and (cin[k] < k or cout[k] < thr):
+                thr -= 1
+                arr[k] = thr
+                cin[k] += _column(ins, k).count(thr)
+                cout[k] += _column(outs, k).count(thr)
                 changed.append(k)
         st.flags = set(changed)
         if changed:
-            return (tuple(st.arr), tuple(changed))
+            return (tuple(arr), tuple(changed))
         return None
 
     def extract(self, st, v, g):

@@ -13,7 +13,9 @@ vertex with a payload emitted).  So after_messages must return None unless
 one of those holds.  on_message must be commutative over messages from
 distinct senders.  The programs in this package keep latest-per-sender
 values and emit only on change, which satisfies both; results and metrics
-then equal those of sweeping every vertex in every round.
+then equal those of sweeping every vertex in every round.  All init
+messages are delivered before any vertex runs after_messages, so a program
+may seed state from them in its first call.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Everything here favors obviousness over speed and deliberately shares no
 code with the production paths it checks.  NaiveSkylineProgram recomputes
 the D-index from scratch with the reference kernel d_index_over_sets, which
 the production skyline program no longer calls and which test_skyline.py
-checks against the combinatorial brute force below.
+checks against the combinatorial brute force below.  NaiveHIndexFixpoint,
+NaiveLuppProgram and NaiveRefineProgram are the anchored phases without
+support counters: every flagged value is recomputed by a full scan of the
+neighbors' latest values, with naive_h_index.
 """
 
 from __future__ import annotations
@@ -216,3 +219,136 @@ class NaiveSkylineProgram(VertexProgram):
 
     def extract(self, st, v, g):
         return list(st.d)
+
+
+class _HState:
+    __slots__ = ("value", "nbr", "flag")
+
+
+class NaiveHIndexFixpoint(VertexProgram):
+    """Iterated H-index over one direction, rescanning on every drop below value."""
+
+    def __init__(self, consume="in"):
+        self.consume = consume
+        self.broadcast = "out" if consume == "in" else "in"
+
+    def init(self, v, g):
+        st = _HState()
+        adj = g.in_adj[v] if self.consume == "in" else g.out_adj[v]
+        st.value = len(adj)
+        st.nbr = dict.fromkeys(adj, 0)
+        st.flag = True
+        return st, st.value
+
+    def on_message(self, st, sender, payload):
+        st.nbr[sender] = payload
+        if payload < st.value:
+            st.flag = True
+
+    def after_messages(self, st, v, g):
+        if not st.flag:
+            return None
+        st.flag = False
+        h = naive_h_index(st.nbr.values())
+        if h < st.value:
+            st.value = h
+            return h
+        return None
+
+    def extract(self, st, v, g):
+        return st.value
+
+
+class _ArrayState:
+    __slots__ = ("arr", "nbr", "flags")
+
+
+class NaiveLuppProgram(VertexProgram):
+    """Phase II recomputing the out-H-index of every flagged slot from scratch."""
+
+    broadcast = "in"
+
+    def __init__(self, kmaxes):
+        self.kmaxes = kmaxes
+
+    def init(self, v, g):
+        st = _ArrayState()
+        width = self.kmaxes[v] + 1
+        st.arr = [len(g.out_adj[v])] * width
+        st.nbr = {}
+        st.flags = set(range(width))
+        return st, (tuple(st.arr), tuple(range(width)))
+
+    def on_message(self, st, sender, payload):
+        vals, changed = payload
+        st.nbr[sender] = vals
+        for k in changed:
+            if k < len(st.arr) and vals[k] < st.arr[k]:
+                st.flags.add(k)
+
+    def after_messages(self, st, v, g):
+        if not st.flags:
+            return None
+        changed = []
+        for k in sorted(st.flags):
+            vals = [
+                st.nbr[u][k] for u in g.out_adj[v] if u in st.nbr and k < len(st.nbr[u])
+            ]
+            h = naive_h_index(vals)
+            if h < st.arr[k]:
+                st.arr[k] = h
+                changed.append(k)
+        st.flags.clear()
+        if changed:
+            return (tuple(st.arr), tuple(changed))
+        return None
+
+    def extract(self, st, v, g):
+        return list(st.arr)
+
+
+class NaiveRefineProgram(VertexProgram):
+    """Phase III counting both supports of every flagged slot from scratch."""
+
+    broadcast = "both"
+
+    def __init__(self, kmaxes, lupps):
+        self.kmaxes = kmaxes
+        self.lupps = lupps
+
+    def init(self, v, g):
+        st = _ArrayState()
+        st.arr = list(self.lupps[v])
+        st.nbr = {}
+        st.flags = set(range(len(st.arr)))
+        return st, (tuple(st.arr), tuple(range(len(st.arr))))
+
+    def on_message(self, st, sender, payload):
+        vals, changed = payload
+        st.nbr[sender] = vals
+        st.flags.update(k for k in changed if k < len(st.arr))
+
+    def _support(self, st, adj, k, thr):
+        return sum(
+            1 for u in adj if u in st.nbr and k < len(st.nbr[u]) and st.nbr[u][k] >= thr
+        )
+
+    def after_messages(self, st, v, g):
+        if not st.flags:
+            return None
+        changed = []
+        for k in sorted(st.flags):
+            thr = st.arr[k]
+            if thr and (
+                self._support(st, g.in_adj[v], k, thr) < k
+                or self._support(st, g.out_adj[v], k, thr) < thr
+            ):
+                st.arr[k] = thr - 1
+                changed.append(k)
+        st.flags = set(changed)
+        if changed:
+            return (tuple(st.arr), tuple(changed))
+        return None
+
+    def extract(self, st, v, g):
+        return list(st.arr)

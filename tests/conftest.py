@@ -18,7 +18,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dcore.graph import DirectedGraph, build_graph
+from dcore.graph import DirectedGraph, build_graph, generate_random_digraph
 
 # 8-vertex reference graph, labels 1..8.  Small enough to check by hand,
 # rich enough to exercise every phase: heterogeneous kmax (vertex 7 lags),
@@ -103,6 +103,27 @@ def pa_digraph(n: int, d: int, seed: int) -> DirectedGraph:
             arcs.append((u, v) if rng.random() < 0.5 else (v, u))
         weighted += sorted(ends) + [v] * d
     return build_graph(n, arcs)
+
+
+# Graphs of the from-scratch comparison and arc-reversal tests: the two
+# fixtures by name, G(n, p) graphs by generate_random_digraph arguments.
+GRAPH_SOURCES = ["ref7", "ref8", (40, 0.25, 1), (60, 0.12, 2), (80, 0.1, 3)]
+
+
+def graph_from(source, request) -> DirectedGraph:
+    if isinstance(source, str):
+        return request.getfixturevalue(source)
+    return generate_random_digraph(*source)
+
+
+def reversed_graph(g: DirectedGraph) -> DirectedGraph:
+    """The same vertices and labels with every arc turned around."""
+    return build_graph(g.n, [(v, u) for u in range(g.n) for v in g.out_adj[u]], g.labels)
+
+
+def transposed(skys):
+    """Every skyline with each pair (k, l) swapped to (l, k), k-ascending."""
+    return [sorted((l, k) for k, l in sky) for sky in skys]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Anchored-coreness phases against the reference traces and the oracle."""
 
+import pytest
+
 from dcore.anchored import (
     HIndexFixpoint,
     LuppProgram,
@@ -9,11 +11,22 @@ from dcore.anchored import (
     compute_lupp,
     refine,
 )
-from dcore.engine import default_superstep_cap, run_vertex_centric
+from dcore.engine import default_superstep_cap, run_program, run_vertex_centric
 from dcore.graph import build_graph, generate_random_digraph, make_partition
-from dcore.peel import dcore, peel_decompose
+from dcore.peel import anchored_to_skyline, dcore, peel_decompose
 
-from conftest import REF7_PHI_V2, REF8_KMAX, REF8_LMAX, REF8_LUPP
+from _naive import NaiveHIndexFixpoint, NaiveLuppProgram, NaiveRefineProgram
+from conftest import (
+    GRAPH_SOURCES,
+    REF7_PHI_V2,
+    REF8_KMAX,
+    REF8_LMAX,
+    REF8_LUPP,
+    graph_from,
+    pa_digraph,
+    reversed_graph,
+    transposed,
+)
 
 
 def test_phase1_ref8_trace(ref8):
@@ -151,3 +164,112 @@ def test_sandwich_property():
         for k, bound in enumerate(lupps[v]):
             out_deg_in_gk = sum(1 for u in g.out_adj[v] if kmaxes[u] >= k)
             assert table.lmax(v, k) <= bound <= out_deg_in_gk, (v, k)
+
+
+def _trace(program, g, parts, mode, attr):
+    snaps = []
+    results, metrics = run_program(
+        program, g, parts, mode,
+        observer=lambda _, states: snaps.append([_copy(getattr(s, attr)) for s in states]),
+    )
+    return snaps, results, metrics
+
+
+def _copy(value):
+    return list(value) if isinstance(value, list) else value
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_counting_programs_match_from_scratch_every_superstep(source, request):
+    g = graph_from(source, request)
+    kmaxes, _ = compute_kmax(g)
+    lupps, _ = compute_lupp(g, kmaxes)
+    # Out-degree bounds are loose, so phase III lowers slots through long
+    # chains of one-step drops and threshold moves.
+    loose = [[len(g.out_adj[v])] * (kmaxes[v] + 1) for v in range(g.n)]
+    pairs = [
+        ("value", HIndexFixpoint("in"), NaiveHIndexFixpoint("in")),
+        ("value", HIndexFixpoint("out"), NaiveHIndexFixpoint("out")),
+        ("arr", LuppProgram(kmaxes), NaiveLuppProgram(kmaxes)),
+        ("arr", RefineProgram(kmaxes, lupps), NaiveRefineProgram(kmaxes, lupps)),
+        ("arr", RefineProgram(kmaxes, loose), NaiveRefineProgram(kmaxes, loose)),
+    ]
+    for mode, parts in [
+        ("vertex", None),
+        ("block", make_partition("hash", g, 3)),
+        ("block", make_partition("seg", g, 4)),
+    ]:
+        for i, (attr, program, naive) in enumerate(pairs):
+            got = _trace(program, g, parts, mode, attr)
+            want = _trace(naive, g, parts, mode, attr)
+            assert got == want, (i, mode)
+    # the loose start still ends at the oracle's rows
+    assert got[1] == peel_decompose(g).rows
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_reversing_every_arc_transposes_every_anchored_skyline(source, request):
+    g = graph_from(source, request)
+    rev = reversed_graph(g)
+    want = transposed(anchored_to_skyline(peel_decompose(g)))
+    assert anchored_to_skyline(anchored_decompose(rev)[0]) == want
+    parts = make_partition("hash", rev, 3)
+    assert anchored_to_skyline(anchored_decompose(rev, parts, "block")[0]) == want
+
+
+def test_anchored_equals_oracle_on_5000_vertex_skewed_graph():
+    g = pa_digraph(5000, 8, seed=5)
+    want = peel_decompose(g).rows
+    assert max(len(row) for row in want) >= 4
+    assert anchored_decompose(g)[0].rows == want
+    parts = make_partition("hash", g, 8)
+    assert anchored_decompose(g, parts, "block")[0].rows == want
+
+
+def _recount(view, k, thr):
+    return sum(1 for a in view if k < len(a) and a[k] >= thr)
+
+
+def _check_h_counter(states):
+    for st in states:
+        assert st.ge == sum(1 for x in st.nbr.values() if x >= st.value)
+
+
+def _check_lupp_counters(states):
+    for st in states:
+        assert st.ge == [_recount(st.nbr.values(), k, a) for k, a in enumerate(st.arr)]
+
+
+def _check_refine_counters(states):
+    for st in states:
+        assert st.cin == [_recount(st.nin.values(), k, a) for k, a in enumerate(st.arr)]
+        assert st.cout == [_recount(st.nout.values(), k, a) for k, a in enumerate(st.arr)]
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_support_counters_equal_a_recount_after_every_superstep(source, request):
+    # A counter that drifts low only costs rescans, which the emitted values
+    # do not show; so compare every counter with a recount over the vertex's
+    # own view of its neighbors once the first round has seeded them.
+    g = graph_from(source, request)
+    kmaxes, _ = compute_kmax(g)
+    lupps, _ = compute_lupp(g, kmaxes)
+    loose = [[len(g.out_adj[v])] * (kmaxes[v] + 1) for v in range(g.n)]
+    checks = [
+        (HIndexFixpoint("in"), _check_h_counter),
+        (HIndexFixpoint("out"), _check_h_counter),
+        (LuppProgram(kmaxes), _check_lupp_counters),
+        (RefineProgram(kmaxes, lupps), _check_refine_counters),
+        (RefineProgram(kmaxes, loose), _check_refine_counters),
+    ]
+    for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
+        for program, check in checks:
+            steps = []
+
+            def observe(step, states, check=check):
+                if step > 1:
+                    check(states)
+                steps.append(step)
+
+            run_program(program, g, parts, mode, observer=observe)
+            assert len(steps) > 1

@@ -1,11 +1,14 @@
 """CLI surface: flags, formats, exit codes, file stability."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dcore
 from dcore import engine
 from dcore.cli import main
 
@@ -217,10 +220,16 @@ def test_zero_workers_rejected(command, ref8_file, tmp_path, capsys):
 
 def test_console_script_runs(tmp_path):
     out = tmp_path / "g.txt"
+    # the child imports dcore from where this process did, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(dcore.__file__).parent.parent), env.get("PYTHONPATH")])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "dcore.cli", "gen", "--n", "4", "--p", "0.5", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert out.exists()

@@ -11,7 +11,16 @@ from dcore.peel import anchored_to_skyline, peel_decompose
 from dcore.skyline import SkylineProgram, d_index_step, skyline_decompose, tight_init
 
 from _naive import NaiveSkylineProgram, naive_d_index_over_sets, set_dominated_by
-from conftest import REF7_SC, REF8_SKYLINE, REF8_TIGHT_INIT, pa_digraph
+from conftest import (
+    GRAPH_SOURCES,
+    REF7_SC,
+    REF8_SKYLINE,
+    REF8_TIGHT_INIT,
+    graph_from,
+    pa_digraph,
+    reversed_graph,
+    transposed,
+)
 
 
 def test_tight_init_ref8(ref8):
@@ -192,15 +201,6 @@ def test_skyline_rounds_at_most_anchored_rounds_on_fixtures(ref7, ref8):
         assert sky_metrics[-1].supersteps <= sum(m.supersteps for m in ac_metrics)
 
 
-GRAPH_SOURCES = ["ref7", "ref8", (40, 0.25, 1), (60, 0.12, 2), (80, 0.1, 3)]
-
-
-def _graph(source, request):
-    if isinstance(source, str):
-        return request.getfixturevalue(source)
-    return generate_random_digraph(*source)
-
-
 def _d_trace(program, g, parts, mode):
     snaps = []
     _, metrics = run_program(
@@ -212,7 +212,7 @@ def _d_trace(program, g, parts, mode):
 
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
 def test_incremental_program_matches_from_scratch_every_superstep(source, request):
-    g = _graph(source, request)
+    g = graph_from(source, request)
     tight, _ = tight_init(g)
     # Degree pairs are loose but still bound every neighbor H-index, so the
     # sets start higher and neighbors drop whole rows of the histograms.
@@ -230,19 +230,11 @@ def test_incremental_program_matches_from_scratch_every_superstep(source, reques
     assert got[0][-1] == [tuple(sky) for sky in anchored_to_skyline(peel_decompose(g))]
 
 
-def _reversed(g):
-    return build_graph(g.n, [(v, u) for u in range(g.n) for v in g.out_adj[u]], g.labels)
-
-
-def _transposed(skys):
-    return [sorted((l, k) for k, l in sky) for sky in skys]
-
-
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
 def test_reversing_every_arc_transposes_every_skyline(source, request):
-    g = _graph(source, request)
-    rev = _reversed(g)
-    want = _transposed(skyline_decompose(g)[0])
+    g = graph_from(source, request)
+    rev = reversed_graph(g)
+    want = transposed(skyline_decompose(g)[0])
     assert anchored_to_skyline(peel_decompose(rev)) == want
     assert skyline_decompose(rev)[0] == want
     parts = make_partition("hash", rev, 3)
