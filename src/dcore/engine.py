@@ -6,16 +6,22 @@ every message until the next one.  Block-centric mode iterates each block's
 rounds to a local fixpoint per superstep and holds only cross-block
 messages.  A run ends after the first superstep that delivers no message.
 
+Delivery contract: every emitted payload reaches each of its recipients
+exactly once, and the payloads of one sender reach a recipient in the
+order the sender emitted them, also when it emits in several local rounds
+of one block-mode superstep.  Programs may therefore send deltas against
+their previous payload.  Payloads of distinct senders arrive in no
+promised order, so on_message must be commutative across senders.  All
+init messages are delivered before any vertex runs after_messages, so a
+program may seed state from them in its first call.
+
 Scheduling follows Pregel's vote-to-halt rule: in a round, a vertex runs
 on_message and after_messages only if it received a message in that round
 or emitted in its previous round (init counts as a round in which every
 vertex with a payload emitted).  So after_messages must return None unless
-one of those holds.  on_message must be commutative over messages from
-distinct senders.  The programs in this package keep latest-per-sender
-values and emit only on change, which satisfies both; results and metrics
-then equal those of sweeping every vertex in every round.  All init
-messages are delivered before any vertex runs after_messages, so a program
-may seed state from them in its first call.
+one of those holds.  The programs in this package emit only on change,
+which satisfies this; results and metrics then equal those of sweeping
+every vertex in every round.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ def _recipients(program: VertexProgram, g: DirectedGraph) -> list[list[int]]:
     if program.broadcast == "in":
         return g.in_adj
     if program.broadcast == "both":
-        return [sorted(set(g.in_adj[v]) | set(g.out_adj[v])) for v in range(g.n)]
+        return g.both_adj
     raise ValueError(f"bad broadcast direction {program.broadcast!r}")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class EdgeListError(ValueError):
@@ -41,6 +42,11 @@ class DirectedGraph:
     @property
     def id_map(self) -> dict[int, int]:
         return {lab: v for v, lab in enumerate(self.labels)}
+
+    @cached_property
+    def both_adj(self) -> list[list[int]]:
+        """Ascending in- and out-neighbors of every vertex, built on first use."""
+        return [sorted(set(i).union(o)) for i, o in zip(self.in_adj, self.out_adj)]
 
     @property
     def num_arcs(self) -> int:

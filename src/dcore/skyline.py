@@ -7,19 +7,20 @@ sets until nothing changes anywhere.
 
 A set S_u is described to its neighbors by its staircase heights
 f_u(k) = max{l' : (k', l') in S_u, k' >= k}, or -1 when no pair reaches k.
-Every vertex keeps, per neighbor side, a histogram of those heights for each
-k <= K, clipped at L, and moves only the buckets whose height changed when a
-neighbor reports a new set.  The D-index then needs only running suffix sums
-over the histograms.  The box (K, L) loses nothing: sets only descend from
-their init pairs, and at the H-index fixpoints K is the H-index of the
-in-neighbors' kmax and L that of the out-neighbors' lmax, so no D-index pair
-of v leaves the box.  This is the two-dimensional form of the counting
+A vertex whose set changes sends only the heights that changed, as
+(k, old, new) triples; its init message is the delta from "absent"
+(old = -1).  Every vertex keeps, per neighbor side, a histogram of those
+heights for each k <= K, clipped at L, moves one bucket per received
+triple and keeps no copy of any neighbor's set or heights.  This relies
+on the engine delivering each payload once and in emission order.  The
+D-index then needs only running suffix sums over the histograms.  The box
+(K, L) loses nothing: sets only descend from their init pairs, and at the
+H-index fixpoints K is the H-index of the in-neighbors' kmax and L that of
+the out-neighbors' lmax, so no D-index pair of v leaves the box.  This is the two-dimensional form of the counting
 computeIndex of Montresor, De Pellegrini and Miorandi (TPDS 2013).
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .anchored import HIndexFixpoint
 from .engine import EngineMetrics, VertexProgram, run_program
@@ -39,45 +40,8 @@ def height_profile(d, rows: int) -> tuple[int, ...]:
     return tuple(prof)
 
 
-def _move(h: list[int], rows: int, top: int, old, new) -> bool:
-    """Move one neighbor's histogram entries from profile old to new.
-
-    h is a flat rows x (top + 1) table whose row k counts heights at k,
-    clipped to top.  old is None for a neighbor not yet counted.  Returns
-    whether any bucket changed.
-    """
-    width = top + 1
-    if old is None:
-        for k in range(min(rows, len(new))):
-            f = new[k]
-            if f < 0:
-                break
-            h[k * width + (f if f < top else top)] += 1
-        return True
-    moved = False
-    pos, end = 0, rows * width
-    for a, b in zip(old, new):
-        if pos == end:
-            break
-        if a != b:
-            if a > top:
-                a = top
-            if b > top:
-                b = top
-            if a != b:
-                if a >= 0:
-                    h[pos + a] -= 1
-                if b >= 0:
-                    h[pos + b] += 1
-                moved = True
-        elif a < 0:
-            break  # heights only fall as k grows: both are -1 from here
-        pos += width
-    return moved
-
-
 class _SkyState:
-    __slots__ = ("d", "rows", "top", "ins", "outs", "pin", "pout", "hin", "hout", "flag")
+    __slots__ = ("d", "prof", "rows", "top", "side", "other", "hin", "hout", "flag")
 
 
 class SkylineProgram(VertexProgram):
@@ -89,13 +53,17 @@ class SkylineProgram(VertexProgram):
     (in- and out-degrees qualify).  The histograms of v only cover k <= K
     and heights up to L.
 
-    The payload is (d, profile): the canonical skyline d of the sender and
-    height_profile(d, K + 1) for the sender's K.  Receivers keep a reference
-    to the last profile of each neighbor (pin/pout, aligned with the sorted
-    in_adj/out_adj lists) and flat bucket tables hin/hout, where h[k][f]
-    counts the neighbors of that side whose height at k is f (clipped to
-    L).  after_messages reads the D-index off running suffix sums of the
-    tables in O(K * L) and never looks at a neighbor's set.
+    The payload is the k-ascending tuple of (k, old, new) triples of the
+    sender's staircase heights that changed, over k <= K for the sender's
+    K; init sends (k, -1, L) for every k.  prof holds the vertex's own
+    heights as last sent, to diff against.  Receivers keep no copy of any
+    neighbor: flat bucket tables hin/hout, where h[k][f] counts the
+    neighbors of that side whose height at k is f (clipped to L), take
+    each triple as one bucket move.  side maps each neighbor on the smaller
+    of the two sides to the tables it counts in, one or both; every other
+    neighbor counts in other, the larger side's table, which keeps the map
+    to about half the degree.  after_messages reads the D-index off running
+    suffix sums of the tables in O(K * L).
     """
 
     broadcast = "both"
@@ -107,30 +75,43 @@ class SkylineProgram(VertexProgram):
         K, L = self.init_pairs[v]
         st = _SkyState()
         st.d = ((K, L),)
+        st.prof = (L,) * (K + 1)
         st.rows, st.top = K + 1, L
-        st.ins, st.outs = g.in_adj[v], g.out_adj[v]
-        st.pin = [None] * len(st.ins)
-        st.pout = [None] * len(st.outs)
         st.hin = [0] * ((K + 1) * (L + 1))
         st.hout = [0] * ((K + 1) * (L + 1))
+        ins, outs = g.in_adj[v], g.out_adj[v]
+        if len(ins) <= len(outs):
+            side = dict.fromkeys(ins, (st.hin,))
+            st.other, larger = (st.hout,), outs
+        else:
+            side = dict.fromkeys(outs, (st.hout,))
+            st.other, larger = (st.hin,), ins
+        both = (st.hin, st.hout)
+        for u in side.keys() & larger:
+            side[u] = both
+        st.side = side
         st.flag = True
-        return st, (st.d, (L,) * (K + 1))
+        return st, tuple((k, -1, L) for k in range(K + 1))
 
     def on_message(self, st, sender, payload):
-        prof = payload[1]
-        moved = False
-        adj = st.ins
-        i = bisect_left(adj, sender)
-        if i < len(adj) and adj[i] == sender:
-            moved = _move(st.hin, st.rows, st.top, st.pin[i], prof)
-            st.pin[i] = prof
-        adj = st.outs
-        i = bisect_left(adj, sender)
-        if i < len(adj) and adj[i] == sender:
-            moved = _move(st.hout, st.rows, st.top, st.pout[i], prof) or moved
-            st.pout[i] = prof
-        if moved:
-            st.flag = True
+        tables = st.side.get(sender, st.other)
+        rows, top = st.rows, st.top
+        width = top + 1
+        for k, a, b in payload:
+            if k >= rows:
+                break
+            if a > top:
+                a = top
+            if b > top:
+                b = top
+            if a != b:
+                pos = k * width
+                for h in tables:
+                    if a >= 0:
+                        h[pos + a] -= 1
+                    if b >= 0:
+                        h[pos + b] += 1
+                st.flag = True
 
     def after_messages(self, st, v, g):
         if not st.flag:
@@ -170,7 +151,10 @@ class SkylineProgram(VertexProgram):
         new = tuple(found)
         if new != st.d:
             st.d = new
-            return new, height_profile(new, st.rows)
+            old, st.prof = st.prof, height_profile(new, st.rows)
+            return tuple(
+                (k, a, b) for k, (a, b) in enumerate(zip(old, st.prof)) if a != b
+            )
         return None
 
     def extract(self, st, v, g):

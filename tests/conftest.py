@@ -106,13 +106,17 @@ def pa_digraph(n: int, d: int, seed: int) -> DirectedGraph:
 
 
 # Graphs of the from-scratch comparison and arc-reversal tests: the two
-# fixtures by name, G(n, p) graphs by generate_random_digraph arguments.
-GRAPH_SOURCES = ["ref7", "ref8", (40, 0.25, 1), (60, 0.12, 2), (80, 0.1, 3)]
+# fixtures by name, G(n, p) graphs by generate_random_digraph arguments and
+# a skewed graph by pa_digraph arguments after "pa".  The skewed one has
+# neighbors whose staircase height drops from 0 to -1 under degree pairs.
+GRAPH_SOURCES = ["ref7", "ref8", (40, 0.25, 1), (60, 0.12, 2), (80, 0.1, 3), ("pa", 60, 3, 1)]
 
 
 def graph_from(source, request) -> DirectedGraph:
     if isinstance(source, str):
         return request.getfixturevalue(source)
+    if source[0] == "pa":
+        return pa_digraph(*source[1:])
     return generate_random_digraph(*source)
 
 
@@ -124,6 +128,35 @@ def reversed_graph(g: DirectedGraph) -> DirectedGraph:
 def transposed(skys):
     """Every skyline with each pair (k, l) swapped to (l, k), k-ascending."""
     return [sorted((l, k) for k, l in sky) for sky in skys]
+
+
+def record_deliveries(program) -> dict:
+    """Record, per receiving state, the last value each sender delivered.
+
+    Wraps program.on_message.  The returned dict maps id(state) to a dict
+    from sender to its last value: an int for (old, new) payloads, a dict
+    {k: value} for tuples of (k, old, new) triples.  A triple's old must
+    equal the value recorded before it (-1 when absent), which checks that
+    every delta arrives exactly once and in order.
+    """
+    last: dict = {}
+    hook = program.on_message
+
+    def on_message(state, sender, payload):
+        seen = last.setdefault(id(state), {})
+        if isinstance(payload[0], int):
+            old, new = payload
+            assert seen.get(sender, -1) == old, (sender, payload)
+            seen[sender] = new
+        else:
+            slots = seen.setdefault(sender, {})
+            for k, old, new in payload:
+                assert slots.get(k, -1) == old, (sender, k, payload)
+                slots[k] = new
+        hook(state, sender, payload)
+
+    program.on_message = on_message
+    return last
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,32 @@ class CountdownProgram(VertexProgram):
         return (state["left"], state["got"])
 
 
+class SequenceProgram(VertexProgram):
+    """Vertex v emits (v, 0), (v, 1), ..., (v, v % 3), then stops.
+
+    (v, 0) goes out at init and each later payload in the vertex's next
+    round, whatever it receives.  Every delivery is logged in arrival order.
+    """
+
+    broadcast = "out"
+
+    def init(self, v, g):
+        return {"next": 1, "got": []}, (v, 0)
+
+    def on_message(self, state, sender, payload):
+        state["got"].append((sender, payload))
+
+    def after_messages(self, state, v, g):
+        i = state["next"]
+        if i > v % 3:
+            return None
+        state["next"] = i + 1
+        return (v, i)
+
+    def extract(self, state, v, g):
+        return state["got"]
+
+
 def test_silent_program_runs_one_superstep(ref8):
     results, metrics = run_vertex_centric(SilentProgram(), ref8)
     assert results == list(range(8))
@@ -253,3 +279,39 @@ def test_long_path_updates_are_linear():
     # runs only the vertex that just dropped and its successor.  A full sweep
     # would make n * (supersteps - 1) = 9900 calls.
     assert len(calls) == g.n + 2 * (metrics.supersteps - 2)
+
+
+def _assert_each_payload_arrives_once_in_order(g, logs):
+    for r, got in enumerate(logs):
+        assert sorted({s for s, _ in got}) == g.in_adj[r]
+        for s in g.in_adj[r]:
+            assert [p for sender, p in got if sender == s] == [(s, i) for i in range(s % 3 + 1)]
+
+
+def test_every_payload_arrives_exactly_once_in_emission_order():
+    # Delta payloads are only correct under this contract: every emitted
+    # payload reaches each recipient once, and one sender's payloads arrive
+    # in the order it emitted them.
+    g = generate_random_digraph(40, 0.12, seed=9)
+    logs, _ = run_vertex_centric(SequenceProgram(), g)
+    _assert_each_payload_arrives_once_in_order(g, logs)
+    for part, blocks in [("hash", 1), ("hash", 3), ("seg", 4)]:
+        logs, _ = run_block_centric(SequenceProgram(), g, make_partition(part, g, blocks))
+        _assert_each_payload_arrives_once_in_order(g, logs)
+
+
+def test_payloads_of_two_local_rounds_cross_blocks_in_order():
+    # On two hash blocks every ring arc crosses blocks.  Vertex 2 emits (2, 1)
+    # and (2, 2) in two local rounds of superstep 2; vertex 3 must receive
+    # both at the start of superstep 3, in that order.
+    ring = build_graph(10, [(v, (v + 1) % 10) for v in range(10)])
+    snaps = []
+    logs, _ = run_block_centric(
+        SequenceProgram(),
+        ring,
+        hash_partition(ring, 2),
+        observer=lambda _, states: snaps.append(list(states[3]["got"])),
+    )
+    assert snaps[1] == [(2, (2, 0))]
+    assert snaps[2] == [(2, (2, 0)), (2, (2, 1)), (2, (2, 2))]
+    _assert_each_payload_arrives_once_in_order(ring, logs)

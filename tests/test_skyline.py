@@ -18,6 +18,7 @@ from conftest import (
     REF8_TIGHT_INIT,
     graph_from,
     pa_digraph,
+    record_deliveries,
     reversed_graph,
     transposed,
 )
@@ -228,6 +229,42 @@ def test_incremental_program_matches_from_scratch_every_superstep(source, reques
             assert got == want, (pairs is tight, mode)
     # the loose start still ends at the oracle's skylines
     assert got[0][-1] == [tuple(sky) for sky in anchored_to_skyline(peel_decompose(g))]
+
+
+def _expected_table(last_heights, neighbors, rows, top):
+    """Flat rows x (top + 1) table of the neighbors' delivered heights, clipped."""
+    table = [0] * (rows * (top + 1))
+    for u in neighbors:
+        heights = last_heights.get(u, {})
+        for k in range(rows):
+            f = heights.get(k, -1)
+            if f >= 0:
+                table[k * (top + 1) + min(f, top)] += 1
+    return table
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_support_histograms_equal_a_recount_after_every_superstep(source, request):
+    # Recount hin/hout from the last height each neighbor delivered at each
+    # k, as the test records it from the deltas, after every superstep.
+    g = graph_from(source, request)
+    tight, _ = tight_init(g)
+    degrees = [(len(g.in_adj[v]), len(g.out_adj[v])) for v in range(g.n)]
+    for pairs in (tight, degrees):
+        for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
+            program = SkylineProgram(pairs)
+            last = record_deliveries(program)
+            steps = []
+
+            def observe(step, states, last=last):
+                for v, st in enumerate(states):
+                    heights = last.get(id(st), {})
+                    assert st.hin == _expected_table(heights, g.in_adj[v], st.rows, st.top)
+                    assert st.hout == _expected_table(heights, g.out_adj[v], st.rows, st.top)
+                steps.append(step)
+
+            run_program(program, g, parts, mode, observer=observe)
+            assert len(steps) > 1
 
 
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
