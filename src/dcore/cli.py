@@ -82,6 +82,8 @@ def _load_graph(path: str) -> DirectedGraph:
             g, report = parse_edge_list_report(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     if report.self_loops_dropped or report.duplicates_dropped:
         print(
             f"# cleaned input: dropped {report.self_loops_dropped} self-loops, "
@@ -95,11 +97,19 @@ def _format_line(label: int, pairs) -> str:
     return f"{label}: " + " ".join(f"({k},{l})" for k, l in pairs)
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_results(path: str, g: DirectedGraph, per_vertex_pairs) -> None:
     order = sorted(range(g.n), key=lambda v: g.labels[v])
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in order:
-            fh.write(_format_line(g.labels[v], per_vertex_pairs[v]) + "\n")
+    _write_text(
+        path, "".join(_format_line(g.labels[v], per_vertex_pairs[v]) + "\n" for v in order)
+    )
 
 
 def _run_algo(g, algo, mode, blocks, partitioner):
@@ -147,9 +157,7 @@ def cmd_decompose(args) -> int:
         output_path=args.out,
     )
     report_path = args.out + ".report"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(report_path, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} and {report_path}")
     return EXIT_OK
 

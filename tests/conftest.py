@@ -130,6 +130,18 @@ def transposed(skys):
     return [sorted((l, k) for k, l in sky) for sky in skys]
 
 
+def clipped_histogram(values, top):
+    """hist[b] = how many values equal b, with every value >= top in hist[top].
+
+    Negative values stand for "absent" and are not counted.
+    """
+    hist = [0] * (top + 1)
+    for x in values:
+        if x >= 0:
+            hist[min(x, top)] += 1
+    return hist
+
+
 def record_deliveries(program) -> dict:
     """Record, per receiving state, the last value each sender delivered.
 

@@ -22,6 +22,7 @@ from conftest import (
     REF8_KMAX,
     REF8_LMAX,
     REF8_LUPP,
+    clipped_histogram,
     graph_from,
     pa_digraph,
     record_deliveries,
@@ -231,18 +232,10 @@ def _recount(view, k, thr):
     return sum(1 for a in view if k < len(a) and a[k] >= thr)
 
 
-def _clipped_histogram(values, top):
-    """hist[b] = how many values equal b, with every value >= top in hist[top]."""
-    hist = [0] * (top + 1)
-    for x in values:
-        hist[min(x, top)] += 1
-    return hist
-
-
 def _check_h_histogram(states, last):
     for st in states:
         delivered = last.get(id(st), {}).values()
-        assert st.hist[: st.value + 1] == _clipped_histogram(delivered, st.value)
+        assert st.hist[: st.value + 1] == clipped_histogram(delivered, st.value)
 
 
 def _check_lupp_histograms(states, last):
@@ -251,7 +244,7 @@ def _check_lupp_histograms(states, last):
         for k, a in enumerate(st.arr):
             column = [slots[k] for slots in delivered if k in slots]
             base = k * st.stride
-            assert st.hist[base : base + a + 1] == _clipped_histogram(column, a), k
+            assert st.hist[base : base + a + 1] == clipped_histogram(column, a), k
 
 
 def _check_refine_counters(states, last):

@@ -98,6 +98,32 @@ def test_decompose_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["decompose", "verify", "bench"])
+def test_non_utf8_input_is_a_usage_error(command, tmp_path, capsys):
+    # exit 1 would read as a failed verification
+    src = tmp_path / "latin1.txt"
+    src.write_bytes(b"1 2\n2 \xff3\n")
+    argv = [command, str(src)]
+    if command != "bench":
+        argv += ["--algo", "skyline"]
+    if command == "decompose":
+        argv += ["--out", str(tmp_path / "x.txt")]
+    assert main(argv) == 2
+    _one_line_error(capsys, str(src), "UTF-8")
+
+
+def test_decompose_unwritable_out_is_a_usage_error(ref8_file, tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.txt", tmp_path):
+        rc = main(["decompose", str(ref8_file), "--algo", "peel", "--out", str(out)])
+        assert rc == 2
+        _one_line_error(capsys, "cannot write", str(out))
+    # the result file is writable but its .report sidecar is not
+    out = tmp_path / "x.txt"
+    (tmp_path / "x.txt.report").mkdir()
+    assert main(["decompose", str(ref8_file), "--algo", "peel", "--out", str(out)]) == 2
+    _one_line_error(capsys, "cannot write", str(out) + ".report")
+
+
 def test_verify_passes_on_fixture(ref8_file, capsys):
     assert main(["verify", str(ref8_file), "--algo", "skyline"]) == 0
     assert main([

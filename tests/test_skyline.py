@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcore.engine import run_program, run_vertex_centric
 from dcore.graph import build_graph, generate_random_digraph, make_partition
@@ -16,6 +18,7 @@ from conftest import (
     REF7_SC,
     REF8_SKYLINE,
     REF8_TIGHT_INIT,
+    clipped_histogram,
     graph_from,
     pa_digraph,
     record_deliveries,
@@ -231,22 +234,22 @@ def test_incremental_program_matches_from_scratch_every_superstep(source, reques
     assert got[0][-1] == [tuple(sky) for sky in anchored_to_skyline(peel_decompose(g))]
 
 
-def _expected_table(last_heights, neighbors, rows, top):
-    """Flat rows x (top + 1) table of the neighbors' delivered heights, clipped."""
-    table = [0] * (rows * (top + 1))
-    for u in neighbors:
-        heights = last_heights.get(u, {})
-        for k in range(rows):
-            f = heights.get(k, -1)
-            if f >= 0:
-                table[k * (top + 1) + min(f, top)] += 1
-    return table
+def _row_height(ins, outs, k, top):
+    """Largest l <= top with at least k of ins and l of outs >= l; -1 if no l."""
+    for l in range(top, -1, -1):
+        if sum(h >= l for h in ins) >= k and sum(h >= l for h in outs) >= l:
+            return l
+    return -1
 
 
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
 def test_support_histograms_equal_a_recount_after_every_superstep(source, request):
-    # Recount hin/hout from the last height each neighbor delivered at each
-    # k, as the test records it from the deltas, after every superstep.
+    # After every superstep, recompute each row height f[k] from its
+    # definition and recount the buckets 0..f[k] of each live row of
+    # hin/hout, from the last height each neighbor delivered at k, as the
+    # test records it from the deltas.  A dead row (f[k] = -1) takes no
+    # more triples, so its stale buckets are not compared.  After init
+    # (step 1) no message has been delivered and every row is still dirty.
     g = graph_from(source, request)
     tight, _ = tight_init(g)
     degrees = [(len(g.in_adj[v]), len(g.out_adj[v])) for v in range(g.n)]
@@ -259,8 +262,17 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
             def observe(step, states, last=last):
                 for v, st in enumerate(states):
                     heights = last.get(id(st), {})
-                    assert st.hin == _expected_table(heights, g.in_adj[v], st.rows, st.top)
-                    assert st.hout == _expected_table(heights, g.out_adj[v], st.rows, st.top)
+                    if step > 1:
+                        assert st.dirty == 0
+                    for k, t in enumerate(st.f):
+                        ins = [heights.get(u, {}).get(k, -1) for u in g.in_adj[v]]
+                        outs = [heights.get(u, {}).get(k, -1) for u in g.out_adj[v]]
+                        if step > 1:
+                            assert t == _row_height(ins, outs, k, st.width - 1), (v, k)
+                        if t >= 0:
+                            row = slice(k * st.width, k * st.width + t + 1)
+                            assert st.hin[row] == clipped_histogram(ins, t), (v, k)
+                            assert st.hout[row] == clipped_histogram(outs, t), (v, k)
                 steps.append(step)
 
             run_program(program, g, parts, mode, observer=observe)
@@ -285,4 +297,30 @@ def test_skyline_equals_oracle_on_5000_vertex_skewed_graph():
     assert sum(len(sky) > 1 for sky in want) > 100
     assert skyline_decompose(g)[0] == want
     parts = make_partition("hash", g, 8)
+    assert skyline_decompose(g, parts, "block")[0] == want
+
+
+drawn_graphs = st.one_of(
+    st.builds(
+        generate_random_digraph,
+        n=st.integers(0, 40),
+        p=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**16),
+    ),
+    st.builds(
+        pa_digraph, n=st.integers(0, 60), d=st.integers(1, 4), seed=st.integers(0, 2**16)
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=drawn_graphs,
+    blocks=st.integers(1, 6),
+    partitioner=st.sampled_from(["hash", "seg"]),
+)
+def test_skyline_equals_oracle_on_drawn_graphs(g, blocks, partitioner):
+    want = anchored_to_skyline(peel_decompose(g))
+    assert skyline_decompose(g)[0] == want
+    parts = make_partition(partitioner, g, blocks)
     assert skyline_decompose(g, parts, "block")[0] == want
