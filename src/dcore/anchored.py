@@ -7,20 +7,26 @@ III decrements each bound until enough neighbors support it.  Every tracked
 scalar only ever decreases, which is what guarantees quiescence.
 
 Phases I and II send deltas and keep no copy of any neighbor.  A phase I
-payload is (old, new) and a phase II payload is the k-ascending tuple of
-(k, old, new) triples of the slots that dropped; an init message is the
-delta from "absent", old = -1.  Each receiver folds the deltas into a
-clipped histogram per value (per slot k in phase II): bucket b counts the
-neighbors whose value is b, and the top bucket, at the vertex's own value,
-counts every neighbor at or above it.  That is the counting computeIndex of
-Montresor, De Pellegrini and Miorandi (TPDS 2013).  A value can only drop
-when its top bucket falls short of it; it then walks down the buckets to
-the new H-index, folding the ones it passes into the new top.  So every
-decision to lower a value, and with it every emitted value, superstep and
-message, is the one a full rescan would make.  Deltas rely on the engine's
-contract: every payload reaches each recipient exactly once, and one
-sender's payloads arrive in the order it emitted them.  Histograms are sums
-over senders, so the order between senders is irrelevant.
+payload is (old, new), and its init message is the delta from "absent",
+old = -1.  A phase II payload is (lo, triples): the k-ascending tuple of
+(k, old, new) triples of the slots that dropped, headed by the smallest
+new among them; its init message is (-1, (out-degree, width)).  Each
+receiver folds the deltas into a clipped histogram per value (per slot k
+in phase II): bucket b counts the neighbors whose value is b, and the top
+bucket, at the vertex's own value, counts every neighbor at or above it.
+That is the counting computeIndex of Montresor, De Pellegrini and
+Miorandi (TPDS 2013).  A delta whose new value is at or above the
+receiver's value would move a count from the top bucket back into it, so
+the receiver skips it; in phase II a whole payload is skipped when lo is
+at or above top, the largest of the receiver's slots.  A value can only
+drop when its top bucket falls short of it; it then walks down the
+buckets to the new H-index, folding the ones it passes into the new top.
+So every decision to lower a value, and with it every emitted value,
+superstep and message, is the one a full rescan would make.  Deltas rely
+on the engine's contract: every payload reaches each recipient exactly
+once, and one sender's payloads arrive in the order it emitted them.
+Histograms are sums over senders, so the order between senders is
+irrelevant.
 
 Phase III sends the sender's whole per-k array plus the ascending list of
 slots that changed, and receivers keep a reference to each sender's latest
@@ -116,9 +122,15 @@ class HIndexFixpoint(VertexProgram):
     def on_message(self, st, sender, payload):
         old, new = payload
         hist, top = st.hist, st.value
+        if new >= top:
+            # old > new >= top: both clip to the top bucket; an init
+            # message (old = -1) adds one to it
+            if old < 0:
+                hist[top] += 1
+            return
         if old >= 0:
             hist[old if old < top else top] -= 1
-        hist[new if new < top else top] += 1
+        hist[new] += 1
 
     def after_messages(self, st, v, g):
         old = st.value
@@ -133,7 +145,7 @@ class HIndexFixpoint(VertexProgram):
 
 
 class _LuppState:
-    __slots__ = ("arr", "stride", "hist", "flags")
+    __slots__ = ("arr", "top", "stride", "hist", "flags")
 
 
 class LuppProgram(VertexProgram):
@@ -146,13 +158,21 @@ class LuppProgram(VertexProgram):
     start from the full-graph out-degree, a valid upper bound that converges
     to the same fixpoint.
 
-    The payload is the k-ascending tuple of (k, old, new) triples of the
-    slots that dropped; init sends (k, -1, out-degree) for every slot.  hist
-    holds one clipped histogram per slot, as in HIndexFixpoint, of the
-    out-neighbors' values there; slot k's starts at k * stride, with stride
-    = out-degree + 1.  Every slot is flagged at init; after that a message
-    flags slot k only when it leaves slot k's top bucket short of arr[k].
-    after_messages lowers each flagged slot to its H-index.
+    A payload is (lo, triples): the k-ascending tuple of (k, old, new)
+    triples of the slots that dropped, headed by lo, the smallest new among
+    them.  hist holds one clipped histogram per slot, as in HIndexFixpoint,
+    of the out-neighbors' values there; slot k's starts at k * stride, with
+    stride = out-degree + 1.  top = max(arr).  A receiver with lo >= top
+    returns at once: every triple then has old > new >= top >= arr[k], so
+    it would only move a count from the top bucket of its slot back into it.
+
+    The init message is (-1, (out-degree, width)), width = kmax + 1.  At
+    init every slot of the receiver holds its own out-degree, so the sender
+    counts in bucket min(deg_u, deg_v) of each slot k < min(width_u,
+    width_v), which one strided loop adds.  flags is a bitmask of slots:
+    all are set at init; after that a message sets bit k only when it
+    leaves slot k's top bucket short of arr[k].  after_messages lowers each
+    flagged slot to its H-index, in ascending k.
     """
 
     broadcast = "in"
@@ -165,48 +185,65 @@ class LuppProgram(VertexProgram):
         width = self.kmaxes[v] + 1
         deg = g.out_degree(v)
         st.arr = [deg] * width
+        st.top = deg
         st.stride = deg + 1
         st.hist = [0] * (width * st.stride)
-        st.flags = set(range(width))
-        return st, tuple((k, -1, deg) for k in range(width))
+        st.flags = (1 << width) - 1
+        return st, (-1, (deg, width))
 
     def on_message(self, st, sender, payload):
+        lo, body = payload
+        top = st.top
+        if lo >= top:
+            return
         arr, hist, stride = st.arr, st.hist, st.stride
-        if payload[0][1] < 0:
-            # init message: one triple per slot, from slot 0 up
-            for (_, _, new), a, base in zip(payload, arr, range(0, len(hist), stride)):
-                hist[base + (new if new < a else a)] += 1
+        if lo < 0:
+            # init: every slot still holds this vertex's out-degree, top
+            deg, width = body
+            end = min(width, len(arr)) * stride
+            for i in range(deg if deg < top else top, end, stride):
+                hist[i] += 1
             return
         width = len(arr)
-        for k, old, new in payload:
+        flags = st.flags
+        for k, old, new in body:
             if k >= width:
                 break
             a = arr[k]
+            if new >= a:
+                continue
             base = k * stride
+            hist[base + new] += 1
             if old < a:
                 hist[base + old] -= 1
-                hist[base + new] += 1
-            elif new < a:
-                hist[base + new] += 1
+            else:
                 hist[base + a] -= 1
                 if hist[base + a] < a:
-                    st.flags.add(k)
+                    flags |= 1 << k
+        st.flags = flags
 
     def after_messages(self, st, v, g):
         flags = st.flags
         if not flags:
             return None
+        st.flags = 0
         arr, hist, stride = st.arr, st.hist, st.stride
         changed = []
-        for k in sorted(flags):
+        lo = st.top
+        while flags:
+            low = flags & -flags
+            flags ^= low
+            k = low.bit_length() - 1
             a = arr[k]
             h = _lower(hist, k * stride, a)
             if h < a:
                 arr[k] = h
                 changed.append((k, a, h))
-        flags.clear()
+                if h < lo:
+                    lo = h
         if changed:
-            return tuple(changed)
+            st.top = max(arr)
+            return (lo, tuple(changed))
         return None
 
     def extract(self, st, v, g):

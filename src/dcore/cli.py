@@ -328,8 +328,16 @@ def main(argv=None) -> int:
         if hasattr(args, "workers"):
             _positive_int(args.workers, "--workers")
         return args.func(args)
-    except (CliError, SuperstepLimitError) as exc:
+    except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SuperstepLimitError as exc:
+        m = exc.metrics
+        print(
+            f"error: {exc}; stopped after {m.supersteps} supersteps "
+            f"and {m.messages_total} messages",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     except EdgeListError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

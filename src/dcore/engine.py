@@ -31,10 +31,6 @@ from dataclasses import dataclass
 from .graph import DirectedGraph, PartitionMap
 
 
-class SuperstepLimitError(RuntimeError):
-    """A program failed to quiesce within the superstep cap."""
-
-
 @dataclass
 class EngineMetrics:
     """Exact round and message accounting for one engine run."""
@@ -48,6 +44,18 @@ class EngineMetrics:
     def check(self) -> None:
         assert self.messages_total == sum(self.messages_per_step)
         assert self.supersteps == len(self.messages_per_step)
+
+
+class SuperstepLimitError(RuntimeError):
+    """A program failed to quiesce within the superstep cap.
+
+    metrics holds the run's partial EngineMetrics: its phase and the
+    supersteps completed and their messages before the cap was hit.
+    """
+
+    def __init__(self, message: str, metrics: EngineMetrics):
+        super().__init__(message)
+        self.metrics = metrics
 
 
 class VertexProgram:
@@ -125,6 +133,9 @@ def _run(program, g, parts, *, max_supersteps=None, workers=1, observer=None, ph
                 on_message(states[r], s, payload)
                 active[block_of[r]].add(r)
 
+    def metrics_so_far() -> EngineMetrics:
+        return EngineMetrics(phase, len(per_step), sum(per_step), list(per_step), intra_total)
+
     held = []
     for v in range(g.n):
         states[v], payload = init(v, g)
@@ -139,7 +150,8 @@ def _run(program, g, parts, *, max_supersteps=None, workers=1, observer=None, ph
     while delivered:
         if len(per_step) >= cap:
             raise SuperstepLimitError(
-                f"no quiescence within {cap} supersteps (phase {phase or '?'})"
+                f"no quiescence within {cap} supersteps (in {phase or '?'})",
+                metrics_so_far(),
             )
         deliver(held)
         held = []
@@ -163,14 +175,15 @@ def _run(program, g, parts, *, max_supersteps=None, workers=1, observer=None, ph
                 deliver(inbox)
             else:
                 raise SuperstepLimitError(
-                    f"block {b}: no local fixpoint within {cap} iterations"
+                    f"block {b}: no local fixpoint within {cap} iterations "
+                    f"(in {phase or '?'})",
+                    metrics_so_far(),
                 )
         per_step.append(sum(len(rs) for _, _, rs in held))
         if observer is not None:
             observer(len(per_step), states)
     results = [program.extract(states[v], v, g) for v in range(g.n)]
-    metrics = EngineMetrics(phase, len(per_step), sum(per_step), per_step, intra_total)
-    return results, metrics
+    return results, metrics_so_far()
 
 
 def run_vertex_centric(program, g, parts=None, **kwargs):

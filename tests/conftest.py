@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -105,6 +106,20 @@ def pa_digraph(n: int, d: int, seed: int) -> DirectedGraph:
     return build_graph(n, arcs)
 
 
+# Small graphs for the oracle properties: G(n, p) and preferential attachment.
+drawn_graphs = st.one_of(
+    st.builds(
+        generate_random_digraph,
+        n=st.integers(0, 40),
+        p=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**16),
+    ),
+    st.builds(
+        pa_digraph, n=st.integers(0, 60), d=st.integers(1, 4), seed=st.integers(0, 2**16)
+    ),
+)
+
+
 # Graphs of the from-scratch comparison and arc-reversal tests: the two
 # fixtures by name, G(n, p) graphs by generate_random_digraph arguments and
 # a skewed graph by pa_digraph arguments after "pa".  The skewed one has
@@ -147,28 +162,43 @@ def record_deliveries(program) -> dict:
 
     Wraps program.on_message.  The returned dict maps id(state) to a dict
     from sender to its last value: an int for (old, new) payloads, a dict
-    {k: value} for tuples of (k, old, new) triples.  A triple's old must
-    equal the value recorded before it (-1 when absent), which checks that
-    every delta arrives exactly once and in order.
+    {k: value} for payloads of (k, old, new) triples.  Those come bare
+    (skyline) or headed by lo, the smallest new among them (phase II),
+    whose init message (-1, (deg, width)) stands for (k, -1, deg) for every
+    k < width.  A triple's old must equal the value recorded before it (-1
+    when absent), which checks that every delta arrives exactly once and in
+    order, and a header must equal the minimum new of its triples.
     """
     last: dict = {}
     hook = program.on_message
 
     def on_message(state, sender, payload):
         seen = last.setdefault(id(state), {})
-        if isinstance(payload[0], int):
+        if isinstance(payload[0], int) and isinstance(payload[1], int):
             old, new = payload
             assert seen.get(sender, -1) == old, (sender, payload)
             seen[sender] = new
         else:
             slots = seen.setdefault(sender, {})
-            for k, old, new in payload:
+            for k, old, new in _delta_triples(payload):
                 assert slots.get(k, -1) == old, (sender, k, payload)
                 slots[k] = new
         hook(state, sender, payload)
 
     program.on_message = on_message
     return last
+
+
+def _delta_triples(payload):
+    """The (k, old, new) triples of a bare or lo-headed payload."""
+    if isinstance(payload[0], tuple):
+        return payload
+    lo, body = payload
+    if lo < 0:
+        deg, width = body
+        return [(k, -1, deg) for k in range(width)]
+    assert lo == min(new for _, _, new in body), payload
+    return body
 
 
 # ---------------------------------------------------------------------------

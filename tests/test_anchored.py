@@ -1,6 +1,8 @@
 """Anchored-coreness phases against the reference traces and the oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcore.anchored import (
     HIndexFixpoint,
@@ -23,6 +25,7 @@ from conftest import (
     REF8_LMAX,
     REF8_LUPP,
     clipped_histogram,
+    drawn_graphs,
     graph_from,
     pa_digraph,
     record_deliveries,
@@ -225,6 +228,19 @@ def test_anchored_equals_oracle_on_5000_vertex_skewed_graph():
     assert max(len(row) for row in want) >= 4
     assert anchored_decompose(g)[0].rows == want
     parts = make_partition("hash", g, 8)
+    assert anchored_decompose(g, parts, "block")[0].rows == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=drawn_graphs,
+    blocks=st.integers(1, 6),
+    partitioner=st.sampled_from(["hash", "seg"]),
+)
+def test_anchored_equals_oracle_on_drawn_graphs(g, blocks, partitioner):
+    want = peel_decompose(g).rows
+    assert anchored_decompose(g)[0].rows == want
+    parts = make_partition(partitioner, g, blocks)
     assert anchored_decompose(g, parts, "block")[0].rows == want
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import dcore
 from dcore import engine
+from dcore.anchored import compute_kmax
 from dcore.cli import main
 
 from conftest import REF8_ARCS
@@ -224,13 +225,20 @@ def test_bench_rejects_non_integer_blocks(ref8_file, capsys):
     _one_line_error(capsys, "--blocks", "'abc'")
 
 
-def test_superstep_limit_is_reported_not_raised(ref8_file, tmp_path, capsys, monkeypatch):
+def test_superstep_limit_is_reported_not_raised(
+    ref8, ref8_file, tmp_path, capsys, monkeypatch
+):
+    reached = sum(compute_kmax(ref8)[1].messages_per_step[:2])
     monkeypatch.setattr(engine, "default_superstep_cap", lambda g: 2)
     rc = main([
         "decompose", str(ref8_file), "--algo", "anchored", "--out", str(tmp_path / "x.txt"),
     ])
     assert rc == 2
-    _one_line_error(capsys, "no quiescence within 2 supersteps")
+    _one_line_error(
+        capsys,
+        "no quiescence within 2 supersteps (in phase I)",
+        f"after 2 supersteps and {reached} messages",
+    )
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify", "bench"])

@@ -151,8 +151,20 @@ def test_block_centric_matches_vertex_centric(ref8, ref7):
 
 
 def test_runaway_program_hits_cap(ref8):
-    with pytest.raises(SuperstepLimitError):
-        run_vertex_centric(ChattyProgram(), ref8, max_supersteps=7)
+    # the error carries the partial metrics of the supersteps completed
+    with pytest.raises(SuperstepLimitError) as info:
+        run_vertex_centric(ChattyProgram(), ref8, max_supersteps=7, phase="chatty")
+    m = info.value.metrics
+    m.check()
+    assert (m.phase, m.supersteps) == ("chatty", 7)
+    assert m.messages_per_step == [ref8.num_arcs] * 7
+    # block mode: one block never reaches a local fixpoint within the cap
+    with pytest.raises(SuperstepLimitError) as info:
+        run_block_centric(ChattyProgram(), ref8, hash_partition(ref8, 2), max_supersteps=7)
+    m = info.value.metrics
+    m.check()
+    assert m.messages_per_step == [ref8.num_arcs]
+    assert m.intra_messages > 0
 
 
 def test_default_cap_covers_degree_and_ripple_terms(ref8):

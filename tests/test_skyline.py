@@ -19,6 +19,7 @@ from conftest import (
     REF8_SKYLINE,
     REF8_TIGHT_INIT,
     clipped_histogram,
+    drawn_graphs,
     graph_from,
     pa_digraph,
     record_deliveries,
@@ -298,19 +299,6 @@ def test_skyline_equals_oracle_on_5000_vertex_skewed_graph():
     assert skyline_decompose(g)[0] == want
     parts = make_partition("hash", g, 8)
     assert skyline_decompose(g, parts, "block")[0] == want
-
-
-drawn_graphs = st.one_of(
-    st.builds(
-        generate_random_digraph,
-        n=st.integers(0, 40),
-        p=st.floats(0.0, 0.3),
-        seed=st.integers(0, 2**16),
-    ),
-    st.builds(
-        pa_digraph, n=st.integers(0, 60), d=st.integers(1, 4), seed=st.integers(0, 2**16)
-    ),
-)
 
 
 @settings(max_examples=100, deadline=None)
