@@ -119,18 +119,21 @@ class HIndexFixpoint(VertexProgram):
         st.hist = [0] * (st.value + 1)
         return st, (-1, st.value)
 
-    def on_message(self, st, sender, payload):
+    def on_broadcast(self, targets, sender, payload):
         old, new = payload
-        hist, top = st.hist, st.value
-        if new >= top:
-            # old > new >= top: both clip to the top bucket; an init
-            # message (old = -1) adds one to it
-            if old < 0:
-                hist[top] += 1
+        if old < 0:
+            # init: count the sender in bucket new, clipped to the top
+            for st in targets:
+                top = st.value
+                st.hist[new if new < top else top] += 1
             return
-        if old >= 0:
-            hist[old if old < top else top] -= 1
-        hist[new] += 1
+        for st in targets:
+            top = st.value
+            if new < top:
+                # else old > new >= top: both clip to the top bucket
+                hist = st.hist
+                hist[old if old < top else top] -= 1
+                hist[new] += 1
 
     def after_messages(self, st, v, g):
         old = st.value
@@ -191,36 +194,39 @@ class LuppProgram(VertexProgram):
         st.flags = (1 << width) - 1
         return st, (-1, (deg, width))
 
-    def on_message(self, st, sender, payload):
+    def on_broadcast(self, targets, sender, payload):
         lo, body = payload
-        top = st.top
-        if lo >= top:
-            return
-        arr, hist, stride = st.arr, st.hist, st.stride
         if lo < 0:
-            # init: every slot still holds this vertex's out-degree, top
+            # init: every slot of a target still holds its out-degree, top
             deg, width = body
-            end = min(width, len(arr)) * stride
-            for i in range(deg if deg < top else top, end, stride):
-                hist[i] += 1
+            for st in targets:
+                top, stride = st.top, st.stride
+                end = min(width, len(st.arr)) * stride
+                hist = st.hist
+                for i in range(deg if deg < top else top, end, stride):
+                    hist[i] += 1
             return
-        width = len(arr)
-        flags = st.flags
-        for k, old, new in body:
-            if k >= width:
-                break
-            a = arr[k]
-            if new >= a:
+        for st in targets:
+            if lo >= st.top:
                 continue
-            base = k * stride
-            hist[base + new] += 1
-            if old < a:
-                hist[base + old] -= 1
-            else:
-                hist[base + a] -= 1
-                if hist[base + a] < a:
-                    flags |= 1 << k
-        st.flags = flags
+            arr, hist, stride = st.arr, st.hist, st.stride
+            width = len(arr)
+            flags = st.flags
+            for k, old, new in body:
+                if k >= width:
+                    break
+                a = arr[k]
+                if new >= a:
+                    continue
+                base = k * stride
+                hist[base + new] += 1
+                if old < a:
+                    hist[base + old] -= 1
+                else:
+                    hist[base + a] -= 1
+                    if hist[base + a] < a:
+                        flags |= 1 << k
+            st.flags = flags
 
     def after_messages(self, st, v, g):
         flags = st.flags
@@ -269,7 +275,7 @@ class RefineProgram(VertexProgram):
     cin[k]/cout[k] count the neighbors of that side whose value at k is
     >= arr[k].  The first after_messages seeds both with one full scan of
     the init arrays, which the engine delivers before it runs, and then
-    checks every slot.  After that, on_message decrements a count when a
+    checks every slot.  After that, a message decrements a count when a
     neighbor's value at k crosses below arr[k], and flags k when the count
     falls short (cin[k] < k or cout[k] < arr[k]).  after_messages lowers each
     flagged or just-lowered slot by one if a count is still short, and adds
@@ -292,36 +298,37 @@ class RefineProgram(VertexProgram):
         st.flags = set(range(len(st.arr)))
         return st, (tuple(st.arr), tuple(range(len(st.arr))))
 
-    def on_message(self, st, sender, payload):
+    def on_broadcast(self, targets, sender, payload):
         vals, changed = payload
-        arr = st.arr
-        width = len(arr)
-        old = st.nin.get(sender)
-        if old is not None:
-            st.nin[sender] = vals
-            if old:
-                cin = st.cin
-                for k in changed:
-                    if k >= width:
-                        break
-                    a = arr[k]
-                    if old[k] >= a > vals[k]:
-                        cin[k] -= 1
-                        if cin[k] < k:
-                            st.flags.add(k)
-        old = st.nout.get(sender)
-        if old is not None:
-            st.nout[sender] = vals
-            if old:
-                cout = st.cout
-                for k in changed:
-                    if k >= width:
-                        break
-                    a = arr[k]
-                    if old[k] >= a > vals[k]:
-                        cout[k] -= 1
-                        if cout[k] < a:
-                            st.flags.add(k)
+        for st in targets:
+            arr = st.arr
+            width = len(arr)
+            old = st.nin.get(sender)
+            if old is not None:
+                st.nin[sender] = vals
+                if old:
+                    cin = st.cin
+                    for k in changed:
+                        if k >= width:
+                            break
+                        a = arr[k]
+                        if old[k] >= a > vals[k]:
+                            cin[k] -= 1
+                            if cin[k] < k:
+                                st.flags.add(k)
+            old = st.nout.get(sender)
+            if old is not None:
+                st.nout[sender] = vals
+                if old:
+                    cout = st.cout
+                    for k in changed:
+                        if k >= width:
+                            break
+                        a = arr[k]
+                        if old[k] >= a > vals[k]:
+                            cout[k] -= 1
+                            if cout[k] < a:
+                                st.flags.add(k)
 
     def after_messages(self, st, v, g):
         flags = st.flags

@@ -1,27 +1,36 @@
 """Deterministic bulk-synchronous superstep simulator.
 
-A vertex program supplies four hooks: init, on_message, after_messages and
-extract.  Vertex-centric mode runs one update round per superstep and holds
-every message until the next one.  Block-centric mode iterates each block's
-rounds to a local fixpoint per superstep and holds only cross-block
-messages.  A run ends after the first superstep that delivers no message.
+A vertex program supplies four hooks: init, on_broadcast, after_messages
+and extract.  Vertex-centric mode runs one update round per superstep and
+holds every message for the next one.  Block-centric mode iterates each
+block's rounds to a local fixpoint per superstep and holds only
+cross-block messages.  A run ends after the first superstep that delivers
+no message.
+
+The engine calls on_broadcast(targets, sender, payload) once per emitted
+payload, where targets iterates the recipients' states; in block mode the
+recipients inside the sender's block get the payload in a local round and
+the others in the next superstep, one call each.  The payload is the same
+for every target, so a program unpacks it once and folds it into each.
+The base class's on_broadcast calls on_message(state, sender, payload) per
+target, for programs written one delivery at a time.
 
 Delivery contract: every emitted payload reaches each of its recipients
 exactly once, and the payloads of one sender reach a recipient in the
 order the sender emitted them, also when it emits in several local rounds
 of one block-mode superstep.  Programs may therefore send deltas against
 their previous payload.  Payloads of distinct senders arrive in no
-promised order, so on_message must be commutative across senders.  All
+promised order, so their folds must be commutative across senders.  All
 init messages are delivered before any vertex runs after_messages, so a
 program may seed state from them in its first call.
 
-Scheduling follows Pregel's vote-to-halt rule: in a round, a vertex runs
-on_message and after_messages only if it received a message in that round
-or emitted in its previous round (init counts as a round in which every
-vertex with a payload emitted).  So after_messages must return None unless
-one of those holds.  The programs in this package emit only on change,
-which satisfies this; results and metrics then equal those of sweeping
-every vertex in every round.
+Scheduling follows Pregel's vote-to-halt rule: in a round, a vertex takes
+its messages and runs after_messages only if it received a message in that
+round or emitted in its previous round (init counts as a round in which
+every vertex with a payload emitted).  So after_messages must return None
+unless one of those holds.  The programs in this package emit only on
+change, which satisfies this; results and metrics then equal those of
+sweeping every vertex in every round.
 """
 
 from __future__ import annotations
@@ -62,7 +71,10 @@ class VertexProgram:
     """Behavior contract executed at every vertex.
 
     broadcast names the recipients of every emitted payload: the vertex's
-    out-neighbors, in-neighbors, or both.
+    out-neighbors, in-neighbors, or both.  The engine hands a payload to
+    all its recipients in one on_broadcast call.  A program overrides
+    on_broadcast to fold it into every target, or on_message, which the
+    default on_broadcast calls once per target.
     """
 
     broadcast = "out"
@@ -71,7 +83,16 @@ class VertexProgram:
         """Return (state, initial payload or None)."""
         raise NotImplementedError
 
+    def on_broadcast(self, targets, sender: int, payload) -> None:
+        """Fold one payload of sender into each recipient state of targets.
+
+        The default hands each target to on_message in turn.
+        """
+        for state in targets:
+            self.on_message(state, sender, payload)
+
     def on_message(self, state, sender: int, payload) -> None:
+        """Fold one payload into one recipient's state (see on_broadcast)."""
         raise NotImplementedError
 
     def after_messages(self, state, v: int, g: DirectedGraph):
@@ -112,7 +133,7 @@ def _run(program, g, parts, *, max_supersteps=None, workers=1, observer=None, ph
     after init as step 1 and then after every superstep.
     """
     cap = max_supersteps if max_supersteps is not None else default_superstep_cap(g)
-    init, on_message, after = program.init, program.on_message, program.after_messages
+    init, on_broadcast, after = program.init, program.on_broadcast, program.after_messages
     recipients = _recipients(program, g)
     if parts is None:
         block_of, n_blocks = [0] * g.n, 1
@@ -124,14 +145,23 @@ def _run(program, g, parts, *, max_supersteps=None, workers=1, observer=None, ph
             held_to.append([r for r in rs if block_of[r] != block_of[v]])
             local_to.append([r for r in rs if block_of[r] == block_of[v]])
     states = [None] * g.n
+    state_of = states.__getitem__
     # active[b]: block b's emitters of its last round plus receivers since then
     active: list[set[int]] = [set() for _ in range(n_blocks)]
 
-    def deliver(messages: list[tuple[int, object, list[int]]]) -> None:
+    def deliver(messages: list[tuple[int, object, list[int]]], into: set[int] | None) -> None:
+        """Hand each payload to its recipients and mark them active.
+
+        into is the active set of the one block that holds every recipient,
+        or None when they may sit in several blocks.
+        """
         for s, payload, rs in messages:
-            for r in rs:
-                on_message(states[r], s, payload)
-                active[block_of[r]].add(r)
+            on_broadcast(map(state_of, rs), s, payload)
+            if into is None:
+                for r in rs:
+                    active[block_of[r]].add(r)
+            else:
+                into.update(rs)
 
     def metrics_so_far() -> EngineMetrics:
         return EngineMetrics(phase, len(per_step), sum(per_step), list(per_step), intra_total)
@@ -141,7 +171,8 @@ def _run(program, g, parts, *, max_supersteps=None, workers=1, observer=None, ph
         states[v], payload = init(v, g)
         if payload is not None:
             active[block_of[v]].add(v)
-            held.append((v, payload, recipients[v]))
+            if recipients[v]:
+                held.append((v, payload, recipients[v]))
     delivered = sum(len(rs) for _, _, rs in held)
     per_step = [delivered]
     intra_total = 0
@@ -153,7 +184,7 @@ def _run(program, g, parts, *, max_supersteps=None, workers=1, observer=None, ph
                 f"no quiescence within {cap} supersteps (in {phase or '?'})",
                 metrics_so_far(),
             )
-        deliver(held)
+        deliver(held, active[0] if parts is None else None)
         held = []
         delivered = 0
         for b in range(n_blocks):
@@ -166,13 +197,15 @@ def _run(program, g, parts, *, max_supersteps=None, workers=1, observer=None, ph
                     if payload is not None:
                         active[b].add(v)
                         sent += len(recipients[v])
-                        held.append((v, payload, held_to[v]))
-                        inbox.append((v, payload, local_to[v]))
+                        if held_to[v]:
+                            held.append((v, payload, held_to[v]))
+                        if local_to[v]:
+                            inbox.append((v, payload, local_to[v]))
                 delivered += sent
                 if parts is None or not sent:
                     break
                 intra_total += sum(len(rs) for _, _, rs in inbox)
-                deliver(inbox)
+                deliver(inbox, active[b])
             else:
                 raise SuperstepLimitError(
                     f"block {b}: no local fixpoint within {cap} iterations "

@@ -116,34 +116,37 @@ class SkylineProgram(VertexProgram):
         st.dirty = -1
         return st, tuple((k, -1, L) for k in range(K + 1))
 
-    def on_message(self, st, sender, payload):
-        tables = st.side.get(sender, st.other)
-        rows, width = st.rows, st.width
+    def on_broadcast(self, targets, sender, payload):
         if payload[0][1] < 0:
             # init message (k, -1, L_u) for k <= K_u: count it once, in
             # row min(K_u, K); the first after_messages sums rows downward
             k, new = payload[-1][0], payload[0][2]
-            pos = (k if k < rows else rows - 1) * width
-            pos += new if new < width else width - 1
-            for h in tables:
-                h[pos] += 1
+            for st in targets:
+                rows, width = st.rows, st.width
+                pos = (k if k < rows else rows - 1) * width
+                pos += new if new < width else width - 1
+                for h in st.side.get(sender, st.other):
+                    h[pos] += 1
             return
-        f, dirty = st.f, st.dirty
-        for k, a, b in payload:
-            if k >= rows:
-                break
-            t = f[k]
-            if b >= t:
-                continue
-            if a >= t:
-                a = t
-                dirty |= 1 << k
-            pos = k * width
-            for h in tables:
-                h[pos + a] -= 1
-                if b >= 0:
-                    h[pos + b] += 1
-        st.dirty = dirty
+        for st in targets:
+            tables = st.side.get(sender, st.other)
+            rows, width = st.rows, st.width
+            f, dirty = st.f, st.dirty
+            for k, a, b in payload:
+                if k >= rows:
+                    break
+                t = f[k]
+                if b >= t:
+                    continue
+                if a >= t:
+                    a = t
+                    dirty |= 1 << k
+                pos = k * width
+                for h in tables:
+                    h[pos + a] -= 1
+                    if b >= 0:
+                        h[pos + b] += 1
+            st.dirty = dirty
 
     def after_messages(self, st, v, g):
         dirty = st.dirty

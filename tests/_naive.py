@@ -144,7 +144,7 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
             inbox = [m for m in incoming if blocks[m[1]] == b]
             while True:
                 for s, r, payload in inbox:
-                    program.on_message(states[r], s, payload)
+                    program.on_broadcast((states[r],), s, payload)
                 inbox = []
                 sent = 0
                 for v in members:

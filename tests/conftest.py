@@ -157,36 +157,52 @@ def clipped_histogram(values, top):
     return hist
 
 
-def record_deliveries(program) -> dict:
+class DeliveryLog:
+    """What record_deliveries saw.
+
+    last maps id(state) to a dict from sender to the last value it
+    delivered there; count is the number of recipient states handed over.
+    """
+
+    def __init__(self):
+        self.last: dict = {}
+        self.count = 0
+
+
+def record_deliveries(program) -> DeliveryLog:
     """Record, per receiving state, the last value each sender delivered.
 
-    Wraps program.on_message.  The returned dict maps id(state) to a dict
-    from sender to its last value: an int for (old, new) payloads, a dict
-    {k: value} for payloads of (k, old, new) triples.  Those come bare
-    (skyline) or headed by lo, the smallest new among them (phase II),
-    whose init message (-1, (deg, width)) stands for (k, -1, deg) for every
-    k < width.  A triple's old must equal the value recorded before it (-1
-    when absent), which checks that every delta arrives exactly once and in
-    order, and a header must equal the minimum new of its triples.
+    Wraps program.on_broadcast and checks each recipient state of each
+    call before forwarding them all, as a list, to the program.  Values are
+    ints for (old, new) payloads and dicts {k: value} for payloads of
+    (k, old, new) triples.  Those come bare (skyline) or headed by lo, the
+    smallest new among them (phase II), whose init message (-1, (deg,
+    width)) stands for (k, -1, deg) for every k < width.  A triple's old
+    must equal the value recorded before it (-1 when absent), which checks
+    that every delta arrives exactly once and in order, and a header must
+    equal the minimum new of its triples.
     """
-    last: dict = {}
-    hook = program.on_message
+    log = DeliveryLog()
+    hook = program.on_broadcast
 
-    def on_message(state, sender, payload):
-        seen = last.setdefault(id(state), {})
-        if isinstance(payload[0], int) and isinstance(payload[1], int):
-            old, new = payload
-            assert seen.get(sender, -1) == old, (sender, payload)
-            seen[sender] = new
-        else:
-            slots = seen.setdefault(sender, {})
-            for k, old, new in _delta_triples(payload):
-                assert slots.get(k, -1) == old, (sender, k, payload)
-                slots[k] = new
-        hook(state, sender, payload)
+    def on_broadcast(targets, sender, payload):
+        targets = list(targets)
+        log.count += len(targets)
+        for state in targets:
+            seen = log.last.setdefault(id(state), {})
+            if isinstance(payload[0], int) and isinstance(payload[1], int):
+                old, new = payload
+                assert seen.get(sender, -1) == old, (sender, payload)
+                seen[sender] = new
+            else:
+                slots = seen.setdefault(sender, {})
+                for k, old, new in _delta_triples(payload):
+                    assert slots.get(k, -1) == old, (sender, k, payload)
+                    slots[k] = new
+        hook(targets, sender, payload)
 
-    program.on_message = on_message
-    return last
+    program.on_broadcast = on_broadcast
+    return log
 
 
 def _delta_triples(payload):

@@ -248,22 +248,22 @@ def _recount(view, k, thr):
     return sum(1 for a in view if k < len(a) and a[k] >= thr)
 
 
-def _check_h_histogram(states, last):
+def _check_h_histogram(states, log):
     for st in states:
-        delivered = last.get(id(st), {}).values()
+        delivered = log.last.get(id(st), {}).values()
         assert st.hist[: st.value + 1] == clipped_histogram(delivered, st.value)
 
 
-def _check_lupp_histograms(states, last):
+def _check_lupp_histograms(states, log):
     for st in states:
-        delivered = last.get(id(st), {}).values()
+        delivered = log.last.get(id(st), {}).values()
         for k, a in enumerate(st.arr):
             column = [slots[k] for slots in delivered if k in slots]
             base = k * st.stride
             assert st.hist[base : base + a + 1] == clipped_histogram(column, a), k
 
 
-def _check_refine_counters(states, last):
+def _check_refine_counters(states, log):
     for st in states:
         assert st.cin == [_recount(st.nin.values(), k, a) for k, a in enumerate(st.arr)]
         assert st.cout == [_recount(st.nout.values(), k, a) for k, a in enumerate(st.arr)]
@@ -274,7 +274,8 @@ def test_support_counters_equal_a_recount_after_every_superstep(source, request)
     # A count that drifts low only costs rescans or extra walks, which the
     # emitted values do not show; so compare every bucket of every histogram
     # with a recount over the last value each sender delivered, as the test
-    # records it from the deltas.  Phase III keeps its own copies of the
+    # records it from the deltas, and check that the recorder saw every
+    # delivery the engine counts.  Phase III keeps its own copies of the
     # neighbors' arrays, so its counters are recounted over those.
     g = graph_from(source, request)
     kmaxes, _ = compute_kmax(g)
@@ -290,14 +291,16 @@ def test_support_counters_equal_a_recount_after_every_superstep(source, request)
         ]
         for program, check in checks:
             refine = check is _check_refine_counters
-            last = None if refine else record_deliveries(program)
+            log = None if refine else record_deliveries(program)
             steps = []
 
-            def observe(step, states, check=check, last=last, refine=refine):
+            def observe(step, states, check=check, log=log, refine=refine):
                 # phase III seeds its counters in its first round
                 if step > 1 or not refine:
-                    check(states, last)
+                    check(states, log)
                 steps.append(step)
 
-            run_program(program, g, parts, mode, observer=observe)
+            _, metrics = run_program(program, g, parts, mode, observer=observe)
+            if log is not None:
+                assert log.count == metrics.messages_total + metrics.intra_messages
             assert len(steps) > 1

@@ -1,0 +1,64 @@
+"""Message complexity: every phase delivers no more than "emit only on a drop" allows.
+
+A vertex emits at init and then only when one of its values drops, and
+every emission reaches all of its recipients, so the deliveries of a phase
+(messages_total + intra_messages, in either mode) are at most the sum over
+v of (1 + the total drop of v's values) times v's fan-out.  Phase I starts
+each value at the in-degree and ends at kmax; phase II starts every slot
+at the out-degree and ends at l_upp; phase III lowers each slot by exactly
+one per emission, from l_upp to l_max; the D-index lowers each row height
+f(k) from L to its final value, -1 for a row that dies.  So a program that
+emits without a change, or a scheduler that delivers a payload twice,
+breaks a bound; the phase III and D-index bounds are often met exactly.
+"""
+
+import pytest
+
+from dcore.anchored import anchored_decompose, compute_lupp
+from dcore.graph import make_partition
+from dcore.peel import peel_decompose
+from dcore.skyline import skyline_decompose
+
+from conftest import GRAPH_SOURCES, graph_from
+
+
+def _deliveries(metrics):
+    return metrics.messages_total + metrics.intra_messages
+
+
+def _final_heights(sky, K):
+    """f(k) = max{l : (k', l) in sky, k' >= k}, or -1, for k in 0..K."""
+    return [max((l for k2, l in sky if k2 >= k), default=-1) for k in range(K + 1)]
+
+
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_deliveries_within_the_emit_on_drop_bounds(source, mode, request):
+    g = graph_from(source, request)
+    parts = make_partition("hash", g, 3) if mode == "block" else None
+    indeg = [len(a) for a in g.in_adj]
+    outdeg = [len(a) for a in g.out_adj]
+    fanout = [len(a) for a in g.both_adj]
+    rows = peel_decompose(g).rows
+    kmax = [len(row) - 1 for row in rows]
+    lmax = [row[0] for row in rows]
+    lupps, _ = compute_lupp(g, kmax)
+    vs = range(g.n)
+
+    _, (m1, m2, m3) = anchored_decompose(g, parts, mode)
+    assert _deliveries(m1) <= sum((indeg[v] - kmax[v] + 1) * outdeg[v] for v in vs)
+    phase2 = sum((1 + sum(outdeg[v] - u for u in lupps[v])) * indeg[v] for v in vs)
+    assert _deliveries(m2) <= phase2
+    phase3 = sum(
+        (1 + sum(u - l for u, l in zip(lupps[v], rows[v]))) * fanout[v] for v in vs
+    )
+    assert _deliveries(m3) <= phase3
+
+    skys, (m_in, m_out, m_d) = skyline_decompose(g, parts, mode)
+    assert _deliveries(m_in) <= sum((indeg[v] - kmax[v] + 1) * outdeg[v] for v in vs)
+    assert _deliveries(m_out) <= sum((outdeg[v] - lmax[v] + 1) * indeg[v] for v in vs)
+    dindex = sum(
+        (1 + sum(lmax[v] - f for f in _final_heights(skys[v], kmax[v]))) * fanout[v]
+        for v in vs
+    )
+    assert _deliveries(m_d) <= dindex

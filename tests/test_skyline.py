@@ -251,18 +251,19 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
     # test records it from the deltas.  A dead row (f[k] = -1) takes no
     # more triples, so its stale buckets are not compared.  After init
     # (step 1) no message has been delivered and every row is still dirty.
+    # The recorder must also see every delivery the engine counts.
     g = graph_from(source, request)
     tight, _ = tight_init(g)
     degrees = [(len(g.in_adj[v]), len(g.out_adj[v])) for v in range(g.n)]
     for pairs in (tight, degrees):
         for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
             program = SkylineProgram(pairs)
-            last = record_deliveries(program)
+            log = record_deliveries(program)
             steps = []
 
-            def observe(step, states, last=last):
+            def observe(step, states, log=log):
                 for v, st in enumerate(states):
-                    heights = last.get(id(st), {})
+                    heights = log.last.get(id(st), {})
                     if step > 1:
                         assert st.dirty == 0
                     for k, t in enumerate(st.f):
@@ -276,7 +277,8 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
                             assert st.hout[row] == clipped_histogram(outs, t), (v, k)
                 steps.append(step)
 
-            run_program(program, g, parts, mode, observer=observe)
+            _, metrics = run_program(program, g, parts, mode, observer=observe)
+            assert log.count == metrics.messages_total + metrics.intra_messages
             assert len(steps) > 1
 
 
