@@ -10,9 +10,7 @@ from .engine import (
     EngineMetrics,
     SuperstepLimitError,
     VertexProgram,
-    run_block_centric,
     run_program,
-    run_vertex_centric,
 )
 from .graph import (
     DirectedGraph,
@@ -43,7 +41,7 @@ from .peel import (
     out_core_numbers,
     peel_decompose,
 )
-from .skyline import d_index_step, skyline_decompose, tight_init
+from .skyline import skyline_decompose, tight_init
 
 __all__ = [
     "AnchoredTable",
@@ -59,7 +57,6 @@ __all__ = [
     "compute_lupp",
     "d_index",
     "d_index_over_sets",
-    "d_index_step",
     "dcore",
     "dominates_strict",
     "dominates_weak",
@@ -74,9 +71,7 @@ __all__ = [
     "parse_edge_list_report",
     "peel_decompose",
     "refine",
-    "run_block_centric",
     "run_program",
-    "run_vertex_centric",
     "segment_partition",
     "skyline_decompose",
     "skyline_reduce",

@@ -135,11 +135,8 @@ def _check_distributed_flags(args) -> tuple[str, int, str]:
         if args.mode or args.blocks or args.partitioner:
             raise CliError("--mode/--blocks/--partitioner do not apply to --algo peel")
         return "vertex", 1, "hash"
-    return (
-        args.mode or "vertex",
-        args.blocks or 1,
-        args.partitioner or "hash",
-    )
+    blocks = 1 if args.blocks is None else _positive_int(args.blocks, "--blocks")
+    return args.mode or "vertex", blocks, args.partitioner or "hash"
 
 
 def cmd_decompose(args) -> int:
@@ -276,9 +273,9 @@ def _add_distributed_flags(p: argparse.ArgumentParser, with_out: bool) -> None:
     p.add_argument("input", help="edge-list file")
     p.add_argument("--algo", required=True, choices=ALGOS)
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--blocks", type=int, default=None)
+    p.add_argument("--blocks", default=None)
     p.add_argument("--partitioner", choices=PARTITIONERS, default=None)
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    p.add_argument("--workers", default="1", help=WORKERS_HELP)
     if with_out:
         p.add_argument("--out", required=True, help="result file path")
 
@@ -305,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default="vertex")
     p.add_argument("--blocks", default="1")
     p.add_argument("--partitioner", choices=PARTITIONERS, default="hash")
-    p.add_argument("--repeat", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    p.add_argument("--repeat", default="1")
+    p.add_argument("--workers", default="1", help=WORKERS_HELP)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="write a seeded random digraph as an edge list")
@@ -319,11 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "blocks", None) is not None and isinstance(args.blocks, int):
-        if args.blocks < 1:
-            parser.error("--blocks must be >= 1")
+    args = build_parser().parse_args(argv)
     try:
         if hasattr(args, "workers"):
             _positive_int(args.workers, "--workers")

@@ -124,14 +124,34 @@ def default_superstep_cap(g: DirectedGraph) -> int:
     return 10 * (g.max_degree() + 1) + 2 * g.n
 
 
-def _run(program, g, parts, *, max_supersteps=None, workers=1, observer=None, phase=""):
-    """The scheduler loop behind both modes; parts=None is vertex mode.
+def run_program(
+    program: VertexProgram,
+    g: DirectedGraph,
+    parts: PartitionMap | None = None,
+    mode: str = "vertex",
+    *,
+    max_supersteps: int | None = None,
+    workers: int = 1,
+    observer=None,
+    phase: str = "",
+):
+    """Run program on g to quiescence; return (per-vertex results, metrics).
 
-    Vertex mode is one block with one round per superstep, and holds every
-    message for the next superstep.  Block mode holds only cross-block
-    messages.  `workers` is ignored.  `observer(step, states)` is called
-    after init as step 1 and then after every superstep.
+    mode "vertex" runs one update round per superstep, holds every message
+    for the next superstep and ignores parts: its results and metrics do
+    not depend on the partition.  mode "block" needs parts and holds only
+    cross-block messages; messages_per_step counts the initial broadcast
+    plus cross-block traffic and intra_messages the deliveries kept inside
+    a block after init.  Both modes give the same results.  `workers` is
+    ignored.  `observer(step, states)` is called after init as step 1 and
+    then after every superstep.
     """
+    if mode not in ("vertex", "block"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "block" and parts is None:
+        raise ValueError("block mode requires a partition")
+    if mode == "vertex":
+        parts = None
     cap = max_supersteps if max_supersteps is not None else default_superstep_cap(g)
     init, on_broadcast, after = program.init, program.on_broadcast, program.after_messages
     recipients = _recipients(program, g)
@@ -217,37 +237,3 @@ def _run(program, g, parts, *, max_supersteps=None, workers=1, observer=None, ph
             observer(len(per_step), states)
     results = [program.extract(states[v], v, g) for v in range(g.n)]
     return results, metrics_so_far()
-
-
-def run_vertex_centric(program, g, parts=None, **kwargs):
-    """Run to quiescence, one update round per superstep.
-
-    `parts` is accepted for interface parity and ignored: vertex-centric
-    results and metrics do not depend on the partition.
-    """
-    return _run(program, g, None, **kwargs)
-
-
-def run_block_centric(program, g, parts, **kwargs):
-    """Run with per-block local fixpoints between global supersteps.
-
-    Results match run_vertex_centric.  messages_per_step counts the initial
-    broadcast plus cross-block traffic; intra-block deliveries after init
-    are counted in intra_messages.
-    """
-    return _run(program, g, parts, **kwargs)
-
-
-def run_program(
-    program: VertexProgram,
-    g: DirectedGraph,
-    parts: PartitionMap | None,
-    mode: str,
-    **kwargs,
-):
-    """Dispatch on execution mode ("vertex" | "block")."""
-    if mode not in ("vertex", "block"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "block" and parts is None:
-        raise ValueError("block mode requires a partition")
-    return _run(program, g, parts if mode == "block" else None, **kwargs)

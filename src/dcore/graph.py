@@ -20,10 +20,8 @@ class EdgeListError(ValueError):
 class ParseReport:
     """Cleaning statistics gathered while ingesting an edge list."""
 
-    arc_lines: int = 0
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0
-    declared_n: int | None = None
 
 
 @dataclass
@@ -128,10 +126,7 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
     label_to_id: dict[int, int] = {}
     labels: list[int] = []
     arcs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     self_loops = 0
-    duplicates = 0
-    arc_lines = 0
     declared_n = None
 
     def intern(label: int) -> int:
@@ -166,26 +161,16 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
             a, b = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise EdgeListError(f"line {lineno}: non-integer vertex label") from None
-        arc_lines += 1
         if a == b:
             self_loops += 1
             intern(a)
             continue
-        u, v = intern(a), intern(b)
-        if (u, v) in seen:
-            duplicates += 1
-            continue
-        seen.add((u, v))
-        arcs.append((u, v))
+        arcs.append((intern(a), intern(b)))
 
     g = build_graph(len(labels), arcs, labels)
-    report = ParseReport(
-        arc_lines=arc_lines,
-        self_loops_dropped=self_loops,
-        duplicates_dropped=duplicates,
-        declared_n=declared_n,
+    return g, ParseReport(
+        self_loops_dropped=self_loops, duplicates_dropped=len(arcs) - g.num_arcs
     )
-    return g, report
 
 
 def parse_edge_list(source) -> DirectedGraph:

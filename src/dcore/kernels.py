@@ -54,39 +54,15 @@ def is_canonical_skyline(pairs) -> bool:
     return all(k >= 0 and l >= 0 for k, l in pairs)
 
 
-def _support(pairs, k: int, l: int) -> int:
-    return sum(1 for a, b in pairs if a >= k and b >= l)
-
-
 def d_index(r_in, r_out) -> list[Pair]:
     """Two-dimensional H-index of two pair multisets.
 
     Returns the antichain of all (k, l) backed by at least k pairs of r_in
     and l pairs of r_out under weak dominance.  Duplicate input pairs count
-    with multiplicity.  The search is bounded by the H-indexes of the first
-    components of r_in and second components of r_out, scanning k downward
-    with a rising l floor so dominated candidates are never examined.
+    with multiplicity: this is d_index_over_sets with every pair its own
+    one-pair set.
     """
-    r_in = list(r_in)
-    r_out = list(r_out)
-    k_bound = h_index(p[0] for p in r_in)
-    l_bound = h_index(p[1] for p in r_out)
-    found: list[Pair] = []
-    l_min = 0
-    for k in range(k_bound, -1, -1):
-        if l_bound <= l_min:
-            break
-        for l in range(l_bound, l_min, -1):
-            if _support(r_in, k, l) >= k and _support(r_out, k, l) >= l:
-                found.append((k, l))
-                l_min = l
-                break
-    # The scan never visits l = 0, but (k_bound, 0) is always supported and
-    # belongs to the index unless some (k_bound, l >= 1) was accepted.
-    if not found or found[0][0] < k_bound:
-        found.insert(0, (k_bound, 0))
-    found.reverse()
-    return found
+    return d_index_over_sets([(p,) for p in r_in], [(p,) for p in r_out])
 
 
 def max_l_at(skyline: list[Pair], k: int) -> int:
@@ -128,6 +104,8 @@ def d_index_over_sets(in_sets, out_sets, in_max_k=None, out_max_l=None) -> list[
                 found.append((k, l))
                 l_min = l
                 break
+    # The scan never visits l = 0, but (k_bound, 0) is always supported and
+    # belongs to the index unless some (k_bound, l >= 1) was accepted.
     if not found or found[0][0] < k_bound:
         found.insert(0, (k_bound, 0))
     found.reverse()

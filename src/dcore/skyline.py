@@ -34,10 +34,10 @@ from __future__ import annotations
 from .anchored import HIndexFixpoint
 from .engine import EngineMetrics, VertexProgram, run_program
 from .graph import DirectedGraph, PartitionMap
-from .kernels import Pair, d_index_over_sets
-
-# Reference D-index over whole neighbor sets; exposed for direct use in tests.
-d_index_step = d_index_over_sets
+from .kernels import Pair
+# No program here calls d_index_over_sets; benchmarks/tracer.py still counts
+# calls through this module attribute, so it stays importable.
+from .kernels import d_index_over_sets  # noqa: F401
 
 
 class _SkyState:

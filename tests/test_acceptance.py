@@ -15,7 +15,7 @@ from dcore.anchored import (
     anchored_decompose,
     compute_kmax,
 )
-from dcore.engine import default_superstep_cap, run_vertex_centric
+from dcore.engine import default_superstep_cap, run_program
 from dcore.graph import generate_random_digraph, make_partition, parse_edge_list
 from dcore.kernels import d_index, h_index, is_canonical_skyline
 from dcore.peel import (
@@ -139,7 +139,7 @@ def test_criterion_4_invariant_suites(ref8):
     for g in (ref8, probe):
         snaps = []
         prog = HIndexFixpoint("in")
-        kmaxes, _ = run_vertex_centric(
+        kmaxes, _ = run_program(
             prog, g, observer=lambda _, s: snaps.append([x.value for x in s])
         )
         bad = any(
@@ -150,7 +150,7 @@ def test_criterion_4_invariant_suites(ref8):
         from dcore.anchored import compute_lupp
 
         snaps = []
-        lupps, _ = run_vertex_centric(
+        lupps, _ = run_program(
             LuppProgram(kmaxes),
             g,
             observer=lambda _, s: snaps.append([list(x.arr) for x in s]),
@@ -160,7 +160,7 @@ def test_criterion_4_invariant_suites(ref8):
                 if any(b > a for a, b in zip(ra, rb)):
                     violations.append("phase II ascent")
         snaps = []
-        run_vertex_centric(
+        run_program(
             RefineProgram(kmaxes, lupps),
             g,
             observer=lambda _, s: snaps.append([list(x.arr) for x in s]),
@@ -173,7 +173,7 @@ def test_criterion_4_invariant_suites(ref8):
         # skyline: antichain at all times plus dominance descent
         pairs, _ = tight_init(g)
         snaps = []
-        skys, _ = run_vertex_centric(
+        skys, _ = run_program(
             SkylineProgram(pairs),
             g,
             observer=lambda _, s: snaps.append([x.d for x in s]),

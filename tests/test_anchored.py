@@ -13,7 +13,7 @@ from dcore.anchored import (
     compute_lupp,
     refine,
 )
-from dcore.engine import default_superstep_cap, run_program, run_vertex_centric
+from dcore.engine import default_superstep_cap, run_program
 from dcore.graph import build_graph, generate_random_digraph, make_partition
 from dcore.peel import anchored_to_skyline, dcore, peel_decompose
 
@@ -131,7 +131,7 @@ def test_monotone_descent_all_phases(ref8):
     for graph in (ref8, g):
         snaps = []
         prog = HIndexFixpoint("in")
-        kmaxes, _ = run_vertex_centric(
+        kmaxes, _ = run_program(
             prog,
             graph,
             observer=lambda _, states: snaps.append([s.value for s in states]),
@@ -140,7 +140,7 @@ def test_monotone_descent_all_phases(ref8):
             assert all(b <= a for a, b in zip(before, after))
 
         snaps = []
-        lupps, _ = run_vertex_centric(
+        lupps, _ = run_program(
             LuppProgram(kmaxes),
             graph,
             observer=lambda _, states: snaps.append([list(s.arr) for s in states]),
@@ -150,7 +150,7 @@ def test_monotone_descent_all_phases(ref8):
                 assert all(b <= a for a, b in zip(row_a, row_b))
 
         snaps = []
-        run_vertex_centric(
+        run_program(
             RefineProgram(kmaxes, lupps),
             graph,
             observer=lambda _, states: snaps.append([list(s.arr) for s in states]),

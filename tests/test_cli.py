@@ -241,15 +241,27 @@ def test_superstep_limit_is_reported_not_raised(
     )
 
 
-@pytest.mark.parametrize("command", ["decompose", "verify", "bench"])
-def test_zero_workers_rejected(command, ref8_file, tmp_path, capsys):
-    argv = [command, str(ref8_file), "--workers", "0"]
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        pytest.param("decompose", "--workers", "0", id="decompose"),
+        pytest.param("verify", "--workers", "0", id="verify"),
+        pytest.param("bench", "--workers", "0", id="bench"),
+        pytest.param("decompose", "--blocks", "0", id="decompose-blocks-0"),
+        pytest.param("decompose", "--blocks", "abc", id="decompose-blocks-abc"),
+        pytest.param("decompose", "--workers", "abc", id="decompose-workers-abc"),
+        pytest.param("bench", "--workers", "abc", id="bench-workers-abc"),
+        pytest.param("bench", "--repeat", "abc", id="bench-repeat-abc"),
+    ],
+)
+def test_zero_workers_rejected(command, flag, value, ref8_file, tmp_path, capsys):
+    argv = [command, str(ref8_file), flag, value]
     if command != "bench":
         argv += ["--algo", "anchored"]
     if command == "decompose":
         argv += ["--out", str(tmp_path / "x.txt")]
     assert main(argv) == 2
-    _one_line_error(capsys, "--workers")
+    _one_line_error(capsys, flag, value)
 
 
 def test_console_script_runs(tmp_path):

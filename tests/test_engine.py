@@ -8,9 +8,7 @@ from dcore.engine import (
     SuperstepLimitError,
     VertexProgram,
     default_superstep_cap,
-    run_block_centric,
     run_program,
-    run_vertex_centric,
 )
 from dcore.graph import build_graph, generate_random_digraph, hash_partition, make_partition
 from dcore.skyline import SkylineProgram
@@ -107,7 +105,7 @@ class SequenceProgram(VertexProgram):
 
 
 def test_silent_program_runs_one_superstep(ref8):
-    results, metrics = run_vertex_centric(SilentProgram(), ref8)
+    results, metrics = run_program(SilentProgram(), ref8)
     assert results == list(range(8))
     assert metrics.supersteps == 1
     assert metrics.messages_total == 0
@@ -115,24 +113,24 @@ def test_silent_program_runs_one_superstep(ref8):
 
 
 def test_kmax_program_on_fixture(ref8):
-    results, metrics = run_vertex_centric(HIndexFixpoint("in"), ref8)
+    results, metrics = run_program(HIndexFixpoint("in"), ref8)
     assert results == REF8_KMAX
     assert metrics.supersteps >= 1
     metrics.check()
 
 
 def test_vertex_mode_ignores_partitioning(ref8):
-    base, m_base = run_vertex_centric(HIndexFixpoint("in"), ref8, None)
+    base, m_base = run_program(HIndexFixpoint("in"), ref8, None)
     for name, blocks in [("hash", 2), ("hash", 5), ("seg", 3)]:
         parts = make_partition(name, ref8, blocks)
-        res, m = run_vertex_centric(HIndexFixpoint("in"), ref8, parts)
+        res, m = run_program(HIndexFixpoint("in"), ref8, parts, "vertex")
         assert res == base
         assert m == m_base
 
 
 def test_single_block_converges_in_two_supersteps_after_init(ref8):
     parts = hash_partition(ref8, 1)
-    res, metrics = run_block_centric(HIndexFixpoint("in"), ref8, parts)
+    res, metrics = run_program(HIndexFixpoint("in"), ref8, parts, "block")
     assert res == REF8_KMAX
     assert metrics.supersteps == 3
     assert metrics.messages_per_step[1:] == [0, 0]  # never any cross traffic
@@ -141,11 +139,11 @@ def test_single_block_converges_in_two_supersteps_after_init(ref8):
 
 def test_block_centric_matches_vertex_centric(ref8, ref7):
     for g in (ref8, ref7):
-        want, m_vertex = run_vertex_centric(HIndexFixpoint("in"), g)
+        want, m_vertex = run_program(HIndexFixpoint("in"), g)
         for blocks in (1, 2, 3, 8):
             for name in ("hash", "seg"):
                 parts = make_partition(name, g, blocks)
-                got, m_block = run_block_centric(HIndexFixpoint("in"), g, parts)
+                got, m_block = run_program(HIndexFixpoint("in"), g, parts, "block")
                 assert got == want, (blocks, name)
                 assert m_block.supersteps <= m_vertex.supersteps
 
@@ -153,14 +151,14 @@ def test_block_centric_matches_vertex_centric(ref8, ref7):
 def test_runaway_program_hits_cap(ref8):
     # the error carries the partial metrics of the supersteps completed
     with pytest.raises(SuperstepLimitError) as info:
-        run_vertex_centric(ChattyProgram(), ref8, max_supersteps=7, phase="chatty")
+        run_program(ChattyProgram(), ref8, max_supersteps=7, phase="chatty")
     m = info.value.metrics
     m.check()
     assert (m.phase, m.supersteps) == ("chatty", 7)
     assert m.messages_per_step == [ref8.num_arcs] * 7
     # block mode: one block never reaches a local fixpoint within the cap
     with pytest.raises(SuperstepLimitError) as info:
-        run_block_centric(ChattyProgram(), ref8, hash_partition(ref8, 2), max_supersteps=7)
+        run_program(ChattyProgram(), ref8, hash_partition(ref8, 2), "block", max_supersteps=7)
     m = info.value.metrics
     m.check()
     assert m.messages_per_step == [ref8.num_arcs]
@@ -194,13 +192,13 @@ def test_determinism_across_runs_and_workers():
     g = generate_random_digraph(60, 0.12, seed=17)
     parts = hash_partition(g, 4)
     runs = [
-        run_vertex_centric(HIndexFixpoint("in"), g, workers=w) for w in (1, 1, 4)
+        run_program(HIndexFixpoint("in"), g, workers=w) for w in (1, 1, 4)
     ]
     for res, metrics in runs[1:]:
         assert res == runs[0][0]
         assert metrics == runs[0][1]
     bruns = [
-        run_block_centric(HIndexFixpoint("in"), g, parts, workers=w) for w in (1, 4)
+        run_program(HIndexFixpoint("in"), g, parts, "block", workers=w) for w in (1, 4)
     ]
     assert bruns[0][0] == bruns[1][0] == runs[0][0]
     assert bruns[0][1] == bruns[1][1]
@@ -213,14 +211,14 @@ def test_quiescence_soundness(ref8):
     def observer(step, states):
         holder["states"] = states
 
-    run_vertex_centric(prog, ref8, observer=observer)
+    run_program(prog, ref8, observer=observer)
     for v, state in enumerate(holder["states"]):
         assert prog.after_messages(state, v, ref8) is None
 
 
 def test_empty_graph_runs():
     g = generate_random_digraph(0, 0.0, seed=0)
-    results, metrics = run_vertex_centric(HIndexFixpoint("in"), g)
+    results, metrics = run_program(HIndexFixpoint("in"), g)
     assert results == []
     assert metrics.supersteps == 1
 
@@ -248,29 +246,29 @@ def _program_factories(g):
 def test_active_set_matches_full_sweep_reference(n, p, seed):
     g = generate_random_digraph(n, p, seed=seed)
     for name, make in _program_factories(g).items():
-        assert run_vertex_centric(make(), g) == _reference(make(), g), name
+        assert run_program(make(), g) == _reference(make(), g), name
         for part, blocks in [("hash", 1), ("hash", 3), ("seg", 4)]:
             parts = make_partition(part, g, blocks)
-            got = run_block_centric(make(), g, parts)
+            got = run_program(make(), g, parts, "block")
             assert got == _reference(make(), g, parts), (name, part, blocks)
 
 
 def test_emitter_without_messages_stays_active():
     ring = build_graph(10, [(v, (v + 1) % 10) for v in range(10)])
-    results, metrics = run_vertex_centric(CountdownProgram(), ring)
+    results, metrics = run_program(CountdownProgram(), ring)
     # v % 5 >= r vertices emit in round r, each to one successor
     assert metrics.messages_per_step == [8, 8, 6, 4, 2, 0]
     assert [left for left, _ in results] == [0] * 10
     assert (results, metrics) == _reference(CountdownProgram(), ring)
     # On two hash blocks every ring arc crosses blocks.  Local rounds go on
     # while a round sends anything, so all countdowns finish in superstep 1.
-    _, metrics = run_block_centric(CountdownProgram(), ring, hash_partition(ring, 2))
+    _, metrics = run_program(CountdownProgram(), ring, hash_partition(ring, 2), "block")
     assert metrics.messages_per_step == [8, 20, 0]
     g = generate_random_digraph(40, 0.1, seed=5)
-    assert run_vertex_centric(CountdownProgram(), g) == _reference(CountdownProgram(), g)
+    assert run_program(CountdownProgram(), g) == _reference(CountdownProgram(), g)
     for blocks in (1, 3):
         parts = hash_partition(g, blocks)
-        got = run_block_centric(CountdownProgram(), g, parts)
+        got = run_program(CountdownProgram(), g, parts, "block")
         assert got == _reference(CountdownProgram(), g, parts)
 
 
@@ -285,7 +283,7 @@ def test_long_path_updates_are_linear():
         return hook(state, v, g)
 
     prog.after_messages = counting
-    _, metrics = run_vertex_centric(prog, g)
+    _, metrics = run_program(prog, g)
     assert metrics.supersteps == 100
     # Round 1 runs all n vertices, as all emitted at init; every later round
     # runs only the vertex that just dropped and its successor.  A full sweep
@@ -305,10 +303,10 @@ def test_every_payload_arrives_exactly_once_in_emission_order():
     # payload reaches each recipient once, and one sender's payloads arrive
     # in the order it emitted them.
     g = generate_random_digraph(40, 0.12, seed=9)
-    logs, _ = run_vertex_centric(SequenceProgram(), g)
+    logs, _ = run_program(SequenceProgram(), g)
     _assert_each_payload_arrives_once_in_order(g, logs)
     for part, blocks in [("hash", 1), ("hash", 3), ("seg", 4)]:
-        logs, _ = run_block_centric(SequenceProgram(), g, make_partition(part, g, blocks))
+        logs, _ = run_program(SequenceProgram(), g, make_partition(part, g, blocks), "block")
         _assert_each_payload_arrives_once_in_order(g, logs)
 
 
@@ -318,10 +316,11 @@ def test_payloads_of_two_local_rounds_cross_blocks_in_order():
     # both at the start of superstep 3, in that order.
     ring = build_graph(10, [(v, (v + 1) % 10) for v in range(10)])
     snaps = []
-    logs, _ = run_block_centric(
+    logs, _ = run_program(
         SequenceProgram(),
         ring,
         hash_partition(ring, 2),
+        "block",
         observer=lambda _, states: snaps.append(list(states[3]["got"])),
     )
     assert snaps[1] == [(2, (2, 0))]

@@ -28,6 +28,11 @@ def test_parse_drops_self_loops_and_duplicates():
     assert list(g.arcs()) == [(0, 1)]
     assert report.self_loops_dropped == 1
     assert report.duplicates_dropped == 1
+    # A reverse arc is a distinct arc, not a duplicate.
+    g, report = parse_edge_list_report("3 5\n3 5\n5 3\n3 5\n")
+    assert sorted(g.arcs()) == [(0, 1), (1, 0)]
+    assert report.self_loops_dropped == 0
+    assert report.duplicates_dropped == 2
 
 
 def test_parse_keeps_original_labels():

@@ -124,11 +124,55 @@ def test_d_index_over_sets_reduces_to_plain_d_index_on_singletons():
         assert got == d_index(r_in, r_out)
 
 
-def test_hot_kernels_stay_module_attributes_of_the_algorithms():
+def test_hot_kernels_stay_module_attributes_of_the_algorithms(ref8, monkeypatch):
     # benchmarks/tracer.py counts kernel calls by patching these attributes,
     # so they stay importable even where the programs no longer call them.
+    # It also reads or patches every other name below; `run.py --trace 1`
+    # breaks if one of them goes or stops being looked up at call time.
     import dcore.anchored
+    import dcore.engine
+    import dcore.peel
     import dcore.skyline
 
     assert dcore.anchored.h_index is h_index
     assert dcore.skyline.d_index_over_sets is d_index_over_sets
+    assert dcore.anchored.run_program is dcore.engine.run_program
+    assert dcore.skyline.run_program is dcore.engine.run_program
+    assert callable(dcore.engine._recipients)
+    assert callable(dcore.engine.VertexProgram.on_message)
+
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(dcore.peel, "in_core_numbers")
+    for name in ("compute_kmax", "compute_lupp", "refine"):
+        spy(dcore.anchored, name)
+    spy(dcore.skyline, "tight_init")
+
+    # The tracer's wrapper calls run_program positionally with the mode.
+    def engine_run(program, g, parts, mode, **kwargs):
+        calls.append("run_program")
+        return dcore.engine.run_program(program, g, parts, mode, **kwargs)
+
+    for module in (dcore.anchored, dcore.skyline):
+        monkeypatch.setattr(module, "run_program", engine_run)
+
+    dcore.peel.peel_decompose(ref8)
+    dcore.anchored.anchored_decompose(ref8, None, "vertex", workers=1)
+    dcore.skyline.skyline_decompose(ref8, None, "vertex", workers=1)
+    assert calls == [
+        "in_core_numbers",
+        "compute_kmax", "run_program",
+        "compute_lupp", "run_program",
+        "refine", "run_program",
+        "tight_init", "run_program", "run_program",
+        "run_program",
+    ]

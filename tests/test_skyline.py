@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcore.engine import run_program, run_vertex_centric
+from dcore.engine import run_program
 from dcore.graph import build_graph, generate_random_digraph, make_partition
-from dcore.kernels import d_index, is_canonical_skyline
+from dcore.kernels import d_index, d_index_over_sets, is_canonical_skyline
 from dcore.peel import anchored_to_skyline, peel_decompose
-from dcore.skyline import SkylineProgram, d_index_step, skyline_decompose, tight_init
+from dcore.skyline import SkylineProgram, skyline_decompose, tight_init
 
 from _naive import NaiveSkylineProgram, naive_d_index_over_sets, set_dominated_by
 from conftest import (
@@ -57,9 +57,9 @@ def _neighbor_views(g, skys, v):
 def test_first_step_ref8_v7_v8(ref8):
     init_sets = [[p] for p in REF8_TIGHT_INIT]
     in_sets, out_sets = _neighbor_views(ref8, init_sets, 6)
-    assert d_index_step(in_sets, out_sets) == [(0, 2), (1, 1)]
+    assert d_index_over_sets(in_sets, out_sets) == [(0, 2), (1, 1)]
     in_sets, out_sets = _neighbor_views(ref8, init_sets, 7)
-    assert d_index_step(in_sets, out_sets) == [(1, 1), (2, 0)]
+    assert d_index_over_sets(in_sets, out_sets) == [(1, 1), (2, 0)]
 
 
 def test_step_collapses_to_d_index_on_singletons():
@@ -67,7 +67,7 @@ def test_step_collapses_to_d_index_on_singletons():
     for _ in range(100):
         r_in = [(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randrange(1, 5))]
         r_out = [(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randrange(1, 5))]
-        assert d_index_step([(p,) for p in r_in], [(p,) for p in r_out]) == d_index(
+        assert d_index_over_sets([(p,) for p in r_in], [(p,) for p in r_out]) == d_index(
             r_in, r_out
         )
 
@@ -86,7 +86,7 @@ def test_step_matches_combinatorial_brute_force():
 
         in_sets = [random_sky() for _ in range(n_in)]
         out_sets = [random_sky() for _ in range(n_out)]
-        got = d_index_step(in_sets, out_sets)
+        got = d_index_over_sets(in_sets, out_sets)
         want = naive_d_index_over_sets(in_sets, out_sets)
         assert got == want, (in_sets, out_sets)
 
@@ -103,7 +103,7 @@ def test_step_on_tiny_random_graphs_matches_brute_force():
             skys.append(tuple(skyline_reduce(pairs)))
         for v in range(6):
             in_sets, out_sets = _neighbor_views(g, skys, v)
-            assert d_index_step(in_sets, out_sets) == naive_d_index_over_sets(
+            assert d_index_over_sets(in_sets, out_sets) == naive_d_index_over_sets(
                 in_sets, out_sets
             )
 
@@ -158,7 +158,7 @@ def test_antichain_and_dominance_descent_every_superstep(ref8):
     for graph in (ref8, g):
         pairs, _ = tight_init(graph)
         snaps = []
-        run_vertex_centric(
+        run_program(
             SkylineProgram(pairs),
             graph,
             observer=lambda _, states: snaps.append([s.d for s in states]),
