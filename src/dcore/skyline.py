@@ -9,8 +9,9 @@ A set S_u is described to its neighbors by its staircase heights
 f_u(k) = max{l' : (k', l') in S_u, k' >= k}, or -1 when no pair reaches k.
 A vertex whose set changes sends only the heights that changed, as
 (k, old, new) triples; its init message is the delta from "absent"
-(old = -1).  This relies on the engine delivering each payload once and in
-emission order.
+(old = -1) as one run, ((K, -1, L),), which stands for (k, -1, L) at
+every k <= K.  This relies on the engine delivering each payload once and
+in emission order.
 
 Every vertex v keeps its own heights f[k] for k <= K: f[k] is the largest
 l such that at least k in-neighbors and at least l out-neighbors have
@@ -31,7 +32,7 @@ so no D-index pair of v leaves the box.
 
 from __future__ import annotations
 
-from .anchored import HIndexFixpoint
+from .anchored import HIndexFixpoint, _RowState, fold_rows
 from .engine import EngineMetrics, VertexProgram, run_program
 from .graph import DirectedGraph, PartitionMap
 from .kernels import Pair
@@ -40,16 +41,16 @@ from .kernels import Pair
 from .kernels import d_index_over_sets  # noqa: F401
 
 
-class _SkyState:
-    __slots__ = ("f", "rows", "width", "side", "other", "hin", "hout", "dirty")
+class _SkyState(_RowState):
+    __slots__ = ()
 
     @property
     def d(self) -> tuple[Pair, ...]:
         """The skyline, k-ascending: each (k, f[k]) above every row past k."""
-        f = self.f
+        f = self.arr
         pairs: list[Pair] = []
         hi = -1
-        for k in range(self.rows - 1, -1, -1):
+        for k in range(len(f) - 1, -1, -1):
             if f[k] > hi:
                 hi = f[k]
                 pairs.append((k, hi))
@@ -66,101 +67,40 @@ class SkylineProgram(VertexProgram):
     (in- and out-degrees qualify).  The histograms of v only cover k <= K
     and heights up to L.
 
-    f[k] is the vertex's own staircase height at k, as defined in the
-    module docstring.  It starts at L and only descends, and it is also
+    arr[k] is the vertex's own staircase height f[k] at k, as defined in
+    the module docstring.  It starts at L and only descends, and it is also
     what the vertex last sent, so the payload needs no separate copy.
 
     The payload is the k-ascending tuple of (k, old, new) triples of the
-    rows whose height dropped; init sends (k, -1, L) for every k <= K.
-    hin/hout are flat tables with rows of width L + 1.  For a live row
-    (f[k] >= 0), bucket b < f[k] of row k counts the neighbors of that side
-    whose height at k is b, and bucket f[k] counts those at or above it.
-    side maps each neighbor on the smaller of the two sides to the tables
-    it counts in, one or both; every other neighbor counts in other, the
-    larger side's table, which keeps the map to about half the degree.
-
-    An init message is counted once, in row min(K_u, K) of the sender's
-    K_u; dirty = -1 tells the first after_messages to sum the rows from
-    the top down, which turns them into the histograms above.  The engine
-    delivers every init message before that.  Afterwards a triple whose
-    new height is at or above f[k] moves nothing, so a dead row (f[k] = -1)
-    takes no triple; its stale buckets are never read again.  A row is
-    marked in the bitmask dirty only when a count leaves its top bucket,
-    and after_messages walks each dirty row down, as anchored._lower does,
-    folding the buckets it passes into the new top.
+    rows whose height dropped; init sends the one run ((K, -1, L),).  The
+    state and the fold are phase III's (anchored.fold_rows): hin/hout are
+    flat tables with rows of width L + 1, and for a live row (f[k] >= 0),
+    bucket b < f[k] of row k counts the neighbors of that side whose height
+    at k is b, and bucket f[k] counts those at or above it.  A dead row
+    (f[k] = -1) takes no triple; its stale buckets are never read again.
+    A row is marked in the bitmask dirty only when a count leaves its top
+    bucket, and after_messages walks each dirty row down, as
+    anchored._lower does, folding the buckets it passes into the new top.
     """
 
     broadcast = "both"
+    on_broadcast = staticmethod(fold_rows)
 
     def __init__(self, init_pairs: list[Pair]):
         self.init_pairs = init_pairs
 
     def init(self, v, g):
         K, L = self.init_pairs[v]
-        st = _SkyState()
-        st.f = [L] * (K + 1)
-        st.rows, st.width = K + 1, L + 1
-        st.hin = [0] * ((K + 1) * (L + 1))
-        st.hout = [0] * ((K + 1) * (L + 1))
-        ins, outs = g.in_adj[v], g.out_adj[v]
-        if len(ins) <= len(outs):
-            side = dict.fromkeys(ins, (st.hin,))
-            st.other, larger = (st.hout,), outs
-        else:
-            side = dict.fromkeys(outs, (st.hout,))
-            st.other, larger = (st.hin,), ins
-        both = (st.hin, st.hout)
-        for u in side.keys() & larger:
-            side[u] = both
-        st.side = side
-        st.dirty = -1
-        return st, tuple((k, -1, L) for k in range(K + 1))
-
-    def on_broadcast(self, targets, sender, payload):
-        if payload[0][1] < 0:
-            # init message (k, -1, L_u) for k <= K_u: count it once, in
-            # row min(K_u, K); the first after_messages sums rows downward
-            k, new = payload[-1][0], payload[0][2]
-            for st in targets:
-                rows, width = st.rows, st.width
-                pos = (k if k < rows else rows - 1) * width
-                pos += new if new < width else width - 1
-                for h in st.side.get(sender, st.other):
-                    h[pos] += 1
-            return
-        for st in targets:
-            tables = st.side.get(sender, st.other)
-            rows, width = st.rows, st.width
-            f, dirty = st.f, st.dirty
-            for k, a, b in payload:
-                if k >= rows:
-                    break
-                t = f[k]
-                if b >= t:
-                    continue
-                if a >= t:
-                    a = t
-                    dirty |= 1 << k
-                pos = k * width
-                for h in tables:
-                    h[pos + a] -= 1
-                    if b >= 0:
-                        h[pos + b] += 1
-            st.dirty = dirty
+        return _SkyState(v, g, [L] * (K + 1), L + 1), ((K, -1, L),)
 
     def after_messages(self, st, v, g):
         dirty = st.dirty
         if not dirty:
             return None
-        st.dirty = 0
-        f, hin, hout, width = st.f, st.hin, st.hout, st.width
         if dirty < 0:
-            # first round: row k holds the init messages whose last row is
-            # k, so row k becomes the sum of rows k.. and every row is dirty
-            for h in (hin, hout):
-                for i in range(len(h) - width - 1, -1, -1):
-                    h[i] += h[i + width]
-            dirty = (1 << len(f)) - 1
+            dirty = st.seed()
+        st.dirty = 0
+        f, hin, hout, width = st.arr, st.hin, st.hout, st.width
         changed = []
         while dirty:
             low = dirty & -dirty

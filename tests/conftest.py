@@ -175,9 +175,11 @@ def record_deliveries(program) -> DeliveryLog:
     Wraps program.on_broadcast and checks each recipient state of each
     call before forwarding them all, as a list, to the program.  Values are
     ints for (old, new) payloads and dicts {k: value} for payloads of
-    (k, old, new) triples.  Those come bare (skyline) or headed by lo, the
-    smallest new among them (phase II), whose init message (-1, (deg,
-    width)) stands for (k, -1, deg) for every k < width.  A triple's old
+    (k, old, new) triples.  Those come bare (phase III and skyline) or
+    headed by lo, the smallest new among them (phase II), whose init
+    message (-1, (deg, width)) stands for (k, -1, deg) for every k < width.
+    A bare init triple (k, -1, value) stands for (j, -1, value) for every
+    j after the previous triple's k up to k.  A triple's old
     must equal the value recorded before it (-1 when absent), which checks
     that every delta arrives exactly once and in order, and a header must
     equal the minimum new of its triples.
@@ -208,7 +210,14 @@ def record_deliveries(program) -> DeliveryLog:
 def _delta_triples(payload):
     """The (k, old, new) triples of a bare or lo-headed payload."""
     if isinstance(payload[0], tuple):
-        return payload
+        if payload[0][1] >= 0:
+            return payload
+        runs, start = [], 0
+        for k, old, value in payload:
+            assert old == -1 and k >= start, payload
+            runs += [(j, -1, value) for j in range(start, k + 1)]
+            start = k + 1
+        return runs
     lo, body = payload
     if lo < 0:
         deg, width = body

@@ -171,6 +171,37 @@ def test_sandwich_property():
             assert table.lmax(v, k) <= bound <= out_deg_in_gk, (v, k)
 
 
+def _raised(g, lupps):
+    """lupps with every odd slot raised to the out-degree.
+
+    Still an upper bound on every l_max(v, k), but no longer non-increasing
+    in k, so the init message has a run per slot wherever the two differ.
+    """
+    return [
+        [len(g.out_adj[v]) if k % 2 else a for k, a in enumerate(row)]
+        for v, row in enumerate(lupps)
+    ]
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_init_messages_send_one_triple_per_run(source, request):
+    g = graph_from(source, request)
+    kmaxes, _ = compute_kmax(g)
+    lupps, _ = compute_lupp(g, kmaxes)
+    for start in (lupps, _raised(g, lupps)):
+        program = RefineProgram(kmaxes, start)
+        for v in range(g.n):
+            _, payload = program.init(v, g)
+            assert payload[-1][0] == kmaxes[v]
+            slots = []
+            for i, (k, old, value) in enumerate(payload):
+                assert old == -1
+                assert i == 0 or value != payload[i - 1][2]
+                assert k >= len(slots)
+                slots += [value] * (k + 1 - len(slots))
+            assert slots == start[v]
+
+
 def _trace(program, g, parts, mode, attr):
     snaps = []
     results, metrics = run_program(
@@ -192,11 +223,13 @@ def test_counting_programs_match_from_scratch_every_superstep(source, request):
     # Out-degree bounds are loose, so phase III lowers slots through long
     # chains of one-step drops and threshold moves.
     loose = [[len(g.out_adj[v])] * (kmaxes[v] + 1) for v in range(g.n)]
+    raised = _raised(g, lupps)
     pairs = [
         ("value", HIndexFixpoint("in"), NaiveHIndexFixpoint("in")),
         ("value", HIndexFixpoint("out"), NaiveHIndexFixpoint("out")),
         ("arr", LuppProgram(kmaxes), NaiveLuppProgram(kmaxes)),
         ("arr", RefineProgram(kmaxes, lupps), NaiveRefineProgram(kmaxes, lupps)),
+        ("arr", RefineProgram(kmaxes, raised), NaiveRefineProgram(kmaxes, raised)),
         ("arr", RefineProgram(kmaxes, loose), NaiveRefineProgram(kmaxes, loose)),
     ]
     for mode, parts in [
@@ -208,8 +241,10 @@ def test_counting_programs_match_from_scratch_every_superstep(source, request):
             got = _trace(program, g, parts, mode, attr)
             want = _trace(naive, g, parts, mode, attr)
             assert got == want, (i, mode)
-    # the loose start still ends at the oracle's rows
+    # the loose start still ends at the oracle's rows, and so does the
+    # non-monotone one
     assert got[1] == peel_decompose(g).rows
+    assert refine(g, kmaxes, raised)[0].rows == got[1]
 
 
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
@@ -244,17 +279,13 @@ def test_anchored_equals_oracle_on_drawn_graphs(g, blocks, partitioner):
     assert anchored_decompose(g, parts, "block")[0].rows == want
 
 
-def _recount(view, k, thr):
-    return sum(1 for a in view if k < len(a) and a[k] >= thr)
-
-
-def _check_h_histogram(states, log):
+def _check_h_histogram(g, states, log):
     for st in states:
         delivered = log.last.get(id(st), {}).values()
         assert st.hist[: st.value + 1] == clipped_histogram(delivered, st.value)
 
 
-def _check_lupp_histograms(states, log):
+def _check_lupp_histograms(g, states, log):
     for st in states:
         delivered = log.last.get(id(st), {}).values()
         for k, a in enumerate(st.arr):
@@ -263,10 +294,19 @@ def _check_lupp_histograms(states, log):
             assert st.hist[base : base + a + 1] == clipped_histogram(column, a), k
 
 
-def _check_refine_counters(states, log):
-    for st in states:
-        assert st.cin == [_recount(st.nin.values(), k, a) for k, a in enumerate(st.arr)]
-        assert st.cout == [_recount(st.nout.values(), k, a) for k, a in enumerate(st.arr)]
+def _check_refine_histograms(g, states, log):
+    # A slot whose dirty bit is clear must have both supports, or it would
+    # never be checked again.
+    for v, st in enumerate(states):
+        delivered = log.last.get(id(st), {})
+        for k, a in enumerate(st.arr):
+            ins = [delivered.get(u, {}).get(k, -1) for u in g.in_adj[v]]
+            outs = [delivered.get(u, {}).get(k, -1) for u in g.out_adj[v]]
+            row = slice(k * st.width, k * st.width + a + 1)
+            assert st.hin[row] == clipped_histogram(ins, a), (v, k)
+            assert st.hout[row] == clipped_histogram(outs, a), (v, k)
+            if a and not st.dirty >> k & 1:
+                assert st.hin[row.stop - 1] >= k and st.hout[row.stop - 1] >= a, (v, k)
 
 
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
@@ -275,8 +315,8 @@ def test_support_counters_equal_a_recount_after_every_superstep(source, request)
     # emitted values do not show; so compare every bucket of every histogram
     # with a recount over the last value each sender delivered, as the test
     # records it from the deltas, and check that the recorder saw every
-    # delivery the engine counts.  Phase III keeps its own copies of the
-    # neighbors' arrays, so its counters are recounted over those.
+    # delivery the engine counts.  Phase III sums its init counts into
+    # histograms in its first round, so it is checked from step 2 on.
     g = graph_from(source, request)
     kmaxes, _ = compute_kmax(g)
     lupps, _ = compute_lupp(g, kmaxes)
@@ -286,21 +326,19 @@ def test_support_counters_equal_a_recount_after_every_superstep(source, request)
             (HIndexFixpoint("in"), _check_h_histogram),
             (HIndexFixpoint("out"), _check_h_histogram),
             (LuppProgram(kmaxes), _check_lupp_histograms),
-            (RefineProgram(kmaxes, lupps), _check_refine_counters),
-            (RefineProgram(kmaxes, loose), _check_refine_counters),
+            (RefineProgram(kmaxes, lupps), _check_refine_histograms),
+            (RefineProgram(kmaxes, _raised(g, lupps)), _check_refine_histograms),
+            (RefineProgram(kmaxes, loose), _check_refine_histograms),
         ]
         for program, check in checks:
-            refine = check is _check_refine_counters
-            log = None if refine else record_deliveries(program)
+            log = record_deliveries(program)
             steps = []
 
-            def observe(step, states, check=check, log=log, refine=refine):
-                # phase III seeds its counters in its first round
-                if step > 1 or not refine:
-                    check(states, log)
+            def observe(step, states, check=check, log=log):
+                if step > 1 or check is not _check_refine_histograms:
+                    check(g, states, log)
                 steps.append(step)
 
             _, metrics = run_program(program, g, parts, mode, observer=observe)
-            if log is not None:
-                assert log.count == metrics.messages_total + metrics.intra_messages
+            assert log.count == metrics.messages_total + metrics.intra_messages
             assert len(steps) > 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcore.anchored import RefineProgram
 from dcore.engine import run_program
 from dcore.graph import build_graph, generate_random_digraph, make_partition
 from dcore.kernels import d_index, d_index_over_sets, is_canonical_skyline
@@ -235,6 +236,16 @@ def test_incremental_program_matches_from_scratch_every_superstep(source, reques
     assert got[0][-1] == [tuple(sky) for sky in anchored_to_skyline(peel_decompose(g))]
 
 
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_init_message_is_one_run_of_the_fold_shared_with_phase_three(source, request):
+    g = graph_from(source, request)
+    pairs, _ = tight_init(g)
+    program = SkylineProgram(pairs)
+    for v, (K, L) in enumerate(pairs):
+        assert program.init(v, g)[1] == ((K, -1, L),)
+    assert SkylineProgram.on_broadcast is RefineProgram.on_broadcast
+
+
 def _row_height(ins, outs, k, top):
     """Largest l <= top with at least k of ins and l of outs >= l; -1 if no l."""
     for l in range(top, -1, -1):
@@ -246,7 +257,7 @@ def _row_height(ins, outs, k, top):
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
 def test_support_histograms_equal_a_recount_after_every_superstep(source, request):
     # After every superstep, recompute each row height f[k] from its
-    # definition and recount the buckets 0..f[k] of each live row of
+    # definition and recount the buckets 0..f[k] (arr[k]) of each live row of
     # hin/hout, from the last height each neighbor delivered at k, as the
     # test records it from the deltas.  A dead row (f[k] = -1) takes no
     # more triples, so its stale buckets are not compared.  After init
@@ -266,7 +277,7 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
                     heights = log.last.get(id(st), {})
                     if step > 1:
                         assert st.dirty == 0
-                    for k, t in enumerate(st.f):
+                    for k, t in enumerate(st.arr):
                         ins = [heights.get(u, {}).get(k, -1) for u in g.in_adj[v]]
                         outs = [heights.get(u, {}).get(k, -1) for u in g.out_adj[v]]
                         if step > 1:
