@@ -40,8 +40,9 @@ one per round, folding its top bucket into the one below, so every
 emitted value, superstep and message is the one a rescan of the
 neighbors' arrays would give.  Against keeping a reference to each
 neighbor's whole array and seeding counts by an O(degree x kmax) rescan,
-this cut phase III's CPU time by 18% on the blocks workload and 27% on
-skewed (paired in-process runs on a 2-vCPU host).
+this cut the benchmark's anchored_s by 11% on the blocks workload and 10%
+on skewed (10 alternating 35 s pairs each on a 2-vCPU host); on ripple,
+where phase III is a fifth of the anchored time, it rose by 3.6%.
 """
 
 from __future__ import annotations
@@ -304,15 +305,6 @@ def fold_rows(targets, sender, payload):
     the count leaves its top bucket.
     """
     if payload[0][1] < 0:
-        if len(payload) == 1:
-            # one run: every skyline init message and most phase III ones
-            k, _, new = payload[0]
-            for st in targets:
-                width, last = st.width, len(st.arr) - 1
-                pos = (k if k < last else last) * width + (new if new < width else width - 1)
-                for h in st.side.get(sender, st.other):
-                    h[pos] += 1
-            return
         for st in targets:
             width, last = st.width, len(st.arr) - 1
             tables = st.side.get(sender, st.other)
