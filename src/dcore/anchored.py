@@ -3,8 +3,8 @@
 Phase I iterates the in-H-index to the in-degree limit kmax(v).  Phase II
 iterates, for every k in [0, kmax(v)] at once, the out-H-index restricted to
 the vertices with kmax >= k, yielding upper bounds on l_max(v, k).  Phase
-III decrements each bound until enough neighbors support it.  Every tracked
-scalar only ever decreases, which is what guarantees quiescence.
+III lowers each bound to the largest value its neighbors support.  Every
+tracked scalar only ever decreases, which is what guarantees quiescence.
 
 Phases I and II send deltas and keep no copy of any neighbor.  A phase I
 payload is (old, new), and its init message is the delta from "absent",
@@ -28,21 +28,16 @@ once, and one sender's payloads arrive in the order it emitted them.
 Histograms are sums over senders, so the order between senders is
 irrelevant.
 
-Phase III keeps the state of the skyline D-index and shares its fold,
-fold_rows: row k of a flat in- and a flat out-table is the clipped
-histogram of the neighbors' values at slot k, and its top bucket, at the
-slot's own bound, is the slot's support.  A payload is the tuple of
-(k, t, t - 1) triples of the slots lowered; the init message has one
-(k, -1, value) triple per maximal run of equal slots, 1 to 1.33 runs per
-vertex on the benchmark workloads, which the first after_messages sums
-into the histograms.  A slot whose support falls short drops by exactly
-one per round, folding its top bucket into the one below, so every
-emitted value, superstep and message is the one a rescan of the
-neighbors' arrays would give.  Against keeping a reference to each
-neighbor's whole array and seeding counts by an O(degree x kmax) rescan,
-this cut the benchmark's anchored_s by 11% on the blocks workload and 10%
-on skewed (10 alternating 35 s pairs each on a 2-vCPU host); on ripple,
-where phase III is a fifth of the anchored time, it rose by 3.6%.
+Phase III is RowProgram, the program of the skyline D-index started from
+the l_upp arrays instead of a (kmax, lmax) box.  Row k of a flat in- and
+a flat out-table is the clipped histogram of the neighbors' values at
+slot k, and its top bucket, at the slot's own bound, is the slot's
+support.  A payload is the tuple of (k, old, new) triples of the slots
+lowered; the init message has one (k, -1, value) triple per maximal run
+of equal slots, which the first after_messages sums into the histograms.
+A slot whose support falls short walks down its row to the largest value
+that at least k in-neighbors and that many out-neighbors reach, so a slot
+that falls several steps sends one triple in one superstep.
 """
 
 from __future__ import annotations
@@ -244,18 +239,19 @@ class LuppProgram(VertexProgram):
 
 
 class _RowState:
-    """Heights arr and per-row in- and out-histograms, as fold_rows reads them.
+    """Heights arr and per-row in- and out-histograms, as RowProgram reads them.
 
-    hin/hout are flat len(arr) x width tables.  side maps each neighbor on
-    the smaller of the two sides to the tables it counts in, one or both;
-    every other neighbor counts in other, the larger side's table, which
-    keeps the map to about half the degree.  dirty is a bitmask of rows,
-    -1 until the first after_messages calls seed.
+    hin/hout are flat len(arr) x width tables, width = max(arr) + 1.  side
+    maps each neighbor on the smaller of the two sides to the tables it
+    counts in, one or both; every other neighbor counts in other, the
+    larger side's table, which keeps the map to about half the degree.
+    dirty is a bitmask of rows, -1 until the first after_messages calls seed.
     """
 
     __slots__ = ("arr", "width", "side", "other", "hin", "hout", "dirty")
 
-    def __init__(self, v, g, arr, width):
+    def __init__(self, v, g, arr):
+        width = max(arr) + 1
         self.arr, self.width = arr, width
         self.hin = [0] * (len(arr) * width)
         self.hout = [0] * (len(arr) * width)
@@ -290,93 +286,91 @@ class _RowState:
         return (1 << len(arr)) - 1
 
 
-def fold_rows(targets, sender, payload):
-    """on_broadcast of RefineProgram and SkylineProgram.
+class RowProgram(VertexProgram):
+    """Phase III and the skyline D-index: a 2-D H-index per row.
 
-    The payload is a k-ascending tuple of (k, old, new) triples.  An init
-    message has old = -1 and one triple per maximal run of equal heights,
-    at the run's last row k.  Each receiver counts a run once, in row
-    min(k, last row), and takes the next run's value back out of that row;
-    summing the rows downward in the first after_messages (_RowState.seed)
-    then counts the sender at its height in every row it reaches.  After
-    init a triple whose new height is at or above arr[k] moves nothing; the
-    others move one count of each table of the sender's side, from the old
-    height clipped to arr[k] to the new one, and mark the row dirty when
-    the count leaves its top bucket.
-    """
-    if payload[0][1] < 0:
-        for st in targets:
-            width, last = st.width, len(st.arr) - 1
-            tables = st.side.get(sender, st.other)
-            prev = -1
-            for k, _, new in payload:
-                b = new if new < width else width - 1
-                pos = (k if k < last else last) * width + b
-                for h in tables:
-                    if prev >= 0:
-                        h[prev + b] -= 1
-                    h[pos] += 1
-                if k >= last:
-                    break
-                prev = k * width
-        return
-    for st in targets:
-        arr, width, dirty = st.arr, st.width, st.dirty
-        rows = len(arr)
-        # most deliveries move nothing, so look the side up only when needed
-        tables = None
-        for k, a, b in payload:
-            if k >= rows:
-                break
-            t = arr[k]
-            if b >= t:
-                continue
-            if a >= t:
-                a = t
-                dirty |= 1 << k
-            pos = k * width
-            if tables is None:
-                tables = st.side.get(sender, st.other)
-            for h in tables:
-                h[pos + a] -= 1
-                if b >= 0:
-                    h[pos + b] += 1
-        st.dirty = dirty
+    Row k of v starts at starts[v][k] and only descends.  A round lowers a
+    row whose support fell short to the largest l such that at least k
+    in-neighbors and at least l out-neighbors have height >= l in their
+    row k, or to -1 when fewer than k in-neighbors reach row k.  The
+    anchored table is the largest set of heights that keeps its supports,
+    and it stays below every iterate, so from any start at or above it
+    (len(starts[v]) > kmax(v), starts[v][k] >= l_max(v, k)) the heights end
+    at the table, -1 past kmax(v).  Phase II's l_upp arrays qualify, and so
+    does the skyline's box [L] * (K + 1): it loses nothing, since at the
+    H-index fixpoints K = kmax(v) is the H-index of the in-neighbors' K and
+    L = lmax(v) that of the out-neighbors' L, and l_max(v, k) <= lmax(v).
+    Boxes of in- and out-degrees qualify too.
 
-
-class RefineProgram(VertexProgram):
-    """Phase III: decrement l_upp(k, v) until both support conditions hold.
-
-    (k, l_upp) survives a round only when at least k in-neighbors and at
-    least l_upp out-neighbors report a bound >= l_upp at the same k.  A
-    failed check lowers the bound by one and marks the slot for
-    re-examination next round, so chains of decrements advance one step per
-    superstep exactly as the refinement protocol prescribes.  Neighbors
-    whose own array does not reach k count as zero.
-
-    The state is the skyline program's _RowState and the fold is
-    fold_rows: arr holds the slots, width = max(arr) + 1, and row k of the
-    flat hin/hout tables is the clipped histogram of the in-/out-neighbors'
-    values at k, so bucket arr[k] counts the support of slot k.  The payload is the tuple of
-    (k, t, t - 1) triples of the lowered slots; init sends one (k, -1,
-    value) triple per maximal run of equal slots.  dirty is a bitmask of
-    slots: all at init, then every slot whose support a message lowered and
-    every slot just lowered.  after_messages checks each dirty slot; a
-    short one folds its top bucket into the one below and drops by one.
+    A payload is the k-ascending tuple of (k, old, new) triples of the rows
+    that dropped; init sends one (k, -1, value) triple per maximal run of
+    equal heights, at the run's last row, so a box sends ((K, -1, L),).
+    Row k of _RowState's hin/hout is the histogram of the in-/out-neighbors'
+    heights at k, clipped at arr[k]; a dead row (-1) takes no triple.  A
+    row turns dirty only when a count leaves its top bucket, and
+    after_messages walks each dirty row down, folding the buckets it passes
+    into the new top: the counting computeIndex in two dimensions.
     """
 
     broadcast = "both"
-    on_broadcast = staticmethod(fold_rows)
 
-    def __init__(self, kmaxes: list[int], lupps: list[list[int]]):
-        self.kmaxes = kmaxes
-        self.lupps = lupps
+    def __init__(self, starts: list[list[int]]):
+        self.starts = starts
 
     def init(self, v, g):
-        arr = list(self.lupps[v])
+        arr = list(self.starts[v])
         last = len(arr) - 1
         runs = tuple((k, -1, a) for k, a in enumerate(arr) if k == last or arr[k + 1] != a)
-        return _RowState(v, g, arr, max(arr) + 1), runs
+        return _RowState(v, g, arr), runs
+
+    def on_broadcast(self, targets, sender, payload):
+        """Fold one payload into every target's histograms.
+
+        An init run (k, -1, value) is counted in row min(k, last row) and
+        the next run takes its value back out of that row, so summing the
+        rows downward (_RowState.seed) counts the sender in every row it
+        reaches.  After init a triple moves one count per table of the
+        sender's side, from the old height clipped to arr[k] to the new
+        one, unless the new height is at or above arr[k].
+        """
+        if payload[0][1] < 0:
+            for st in targets:
+                width, last = st.width, len(st.arr) - 1
+                tables = st.side.get(sender, st.other)
+                prev = -1
+                for k, _, new in payload:
+                    b = new if new < width else width - 1
+                    pos = (k if k < last else last) * width + b
+                    for h in tables:
+                        if prev >= 0:
+                            h[prev + b] -= 1
+                        h[pos] += 1
+                    if k >= last:
+                        break
+                    prev = k * width
+            return
+        for st in targets:
+            arr, width, dirty = st.arr, st.width, st.dirty
+            rows = len(arr)
+            # most deliveries move nothing, so look the side up only when needed
+            tables = None
+            for k, a, b in payload:
+                if k >= rows:
+                    break
+                t = arr[k]
+                if b >= t:
+                    continue
+                if a >= t:
+                    a = t
+                    dirty |= 1 << k
+                pos = k * width
+                if tables is None:
+                    tables = st.side.get(sender, st.other)
+                for h in tables:
+                    h[pos + a] -= 1
+                    if b >= 0:
+                        h[pos + b] += 1
+            st.dirty = dirty
 
     def after_messages(self, st, v, g):
         dirty = st.dirty
@@ -384,22 +378,27 @@ class RefineProgram(VertexProgram):
             return None
         if dirty < 0:
             dirty = st.seed()
+        st.dirty = 0
         arr, hin, hout, width = st.arr, st.hin, st.hout, st.width
         changed = []
-        keep = 0
         while dirty:
             low = dirty & -dirty
             dirty ^= low
             k = low.bit_length() - 1
-            t = arr[k]
-            top = k * width + t
-            if t and (hin[top] < k or hout[top] < t):
-                hin[top - 1] += hin[top]
-                hout[top - 1] += hout[top]
-                arr[k] = t - 1
-                changed.append((k, t, t - 1))
-                keep |= low
-        st.dirty = keep
+            t = l = arr[k]
+            base = k * width
+            ci, co = hin[base + l], hout[base + l]
+            while l and (ci < k or co < l):
+                l -= 1
+                ci += hin[base + l]
+                co += hout[base + l]
+            if ci < k:
+                l = -1
+            elif l < t:
+                hin[base + l], hout[base + l] = ci, co
+            if l < t:
+                arr[k] = l
+                changed.append((k, t, l))
         if changed:
             return tuple(changed)
         return None
@@ -431,7 +430,6 @@ def compute_lupp(
 
 def refine(
     g: DirectedGraph,
-    kmaxes: list[int],
     lupps: list[list[int]],
     parts: PartitionMap | None = None,
     mode: str = "vertex",
@@ -439,7 +437,7 @@ def refine(
 ) -> tuple[AnchoredTable, EngineMetrics]:
     """Tighten the upper bounds to the exact anchored corenesses."""
     rows, metrics = run_program(
-        RefineProgram(kmaxes, lupps), g, parts, mode, phase="phase III", **kwargs
+        RowProgram(lupps), g, parts, mode, phase="phase III", **kwargs
     )
     return AnchoredTable(rows), metrics
 
@@ -453,5 +451,5 @@ def anchored_decompose(
     """Run the three phases back to back; equals peel_decompose exactly."""
     kmaxes, m1 = compute_kmax(g, parts, mode, **kwargs)
     lupps, m2 = compute_lupp(g, kmaxes, parts, mode, **kwargs)
-    table, m3 = refine(g, kmaxes, lupps, parts, mode, **kwargs)
+    table, m3 = refine(g, lupps, parts, mode, **kwargs)
     return table, [m1, m2, m3]

@@ -7,7 +7,9 @@ the production skyline program no longer calls and which test_skyline.py
 checks against the combinatorial brute force below.  NaiveHIndexFixpoint,
 NaiveLuppProgram and NaiveRefineProgram are the anchored phases without
 support counters: every flagged value is recomputed by a full scan of the
-neighbors' latest values, with naive_h_index.
+neighbors' latest values, with naive_h_index in phases I and II and, in
+phase III, by a walk down from the slot's bound that counts both supports
+at every step.
 """
 
 from __future__ import annotations
@@ -308,12 +310,16 @@ class NaiveLuppProgram(VertexProgram):
 
 
 class NaiveRefineProgram(VertexProgram):
-    """Phase III counting both supports of every flagged slot from scratch."""
+    """Phase III counting both supports of every flagged slot from scratch.
+
+    A flagged slot with bound t drops to the largest t' <= t with at least
+    k in-supports and at least t' out-supports at k, or to -1 when no t'
+    has them.
+    """
 
     broadcast = "both"
 
-    def __init__(self, kmaxes, lupps):
-        self.kmaxes = kmaxes
+    def __init__(self, lupps):
         self.lupps = lupps
 
     def init(self, v, g):
@@ -334,18 +340,18 @@ class NaiveRefineProgram(VertexProgram):
         )
 
     def after_messages(self, st, v, g):
-        if not st.flags:
-            return None
         changed = []
         for k in sorted(st.flags):
-            thr = st.arr[k]
-            if thr and (
+            t = thr = st.arr[k]
+            while thr >= 0 and (
                 self._support(st, g.in_adj[v], k, thr) < k
                 or self._support(st, g.out_adj[v], k, thr) < thr
             ):
-                st.arr[k] = thr - 1
+                thr -= 1
+            if thr < t:
+                st.arr[k] = thr
                 changed.append(k)
-        st.flags = set(changed)
+        st.flags.clear()
         if changed:
             return (tuple(st.arr), tuple(changed))
         return None

@@ -135,6 +135,11 @@ def graph_from(source, request) -> DirectedGraph:
     return generate_random_digraph(*source)
 
 
+def boxes(pairs):
+    """The skyline D-index's RowProgram starts: [L] * (K + 1) for each (K, L)."""
+    return [[L] * (K + 1) for K, L in pairs]
+
+
 def reversed_graph(g: DirectedGraph) -> DirectedGraph:
     """The same vertices and labels with every arc turned around."""
     return build_graph(g.n, [(v, u) for u in range(g.n) for v in g.out_adj[u]], g.labels)
@@ -175,7 +180,7 @@ def record_deliveries(program) -> DeliveryLog:
     Wraps program.on_broadcast and checks each recipient state of each
     call before forwarding them all, as a list, to the program.  Values are
     ints for (old, new) payloads and dicts {k: value} for payloads of
-    (k, old, new) triples.  Those come bare (phase III and skyline) or
+    (k, old, new) triples.  Those come bare (RowProgram) or
     headed by lo, the smallest new among them (phase II), whose init
     message (-1, (deg, width)) stands for (k, -1, deg) for every k < width.
     A bare init triple (k, -1, value) stands for (j, -1, value) for every

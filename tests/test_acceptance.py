@@ -11,7 +11,7 @@ import random
 from dcore.anchored import (
     HIndexFixpoint,
     LuppProgram,
-    RefineProgram,
+    RowProgram,
     anchored_decompose,
     compute_kmax,
 )
@@ -25,7 +25,7 @@ from dcore.peel import (
     out_core_numbers,
     peel_decompose,
 )
-from dcore.skyline import SkylineProgram, skyline_decompose, tight_init
+from dcore.skyline import skyline_decompose, skyline_of, tight_init
 
 from _naive import set_dominated_by
 from conftest import (
@@ -33,6 +33,7 @@ from conftest import (
     REF8_LMAX,
     REF8_LUPP,
     REF8_SKYLINE,
+    boxes,
     require_dataset,
 )
 
@@ -60,7 +61,7 @@ def test_criterion_2_fixture_reproduction(ref8):
 
     lupps, _ = compute_lupp(ref8, kmaxes)
     ok_l = lupps == REF8_LUPP and lupps[7] == [1, 1, 0]
-    table, _ = refine(ref8, kmaxes, lupps)
+    table, _ = refine(ref8, lupps)
     ok_r = table.rows == REF8_LMAX and table.rows[6] == [2, 1]
     skys, _ = skyline_decompose(ref8)
     ok_s = skys == REF8_SKYLINE and skys[6] == [(0, 2), (1, 1)]
@@ -161,7 +162,7 @@ def test_criterion_4_invariant_suites(ref8):
                     violations.append("phase II ascent")
         snaps = []
         run_program(
-            RefineProgram(kmaxes, lupps),
+            RowProgram(lupps),
             g,
             observer=lambda _, s: snaps.append([list(x.arr) for x in s]),
         )
@@ -173,11 +174,12 @@ def test_criterion_4_invariant_suites(ref8):
         # skyline: antichain at all times plus dominance descent
         pairs, _ = tight_init(g)
         snaps = []
-        skys, _ = run_program(
-            SkylineProgram(pairs),
+        heights, _ = run_program(
+            RowProgram(boxes(pairs)),
             g,
-            observer=lambda _, s: snaps.append([x.d for x in s]),
+            observer=lambda _, s: snaps.append([skyline_of(x.arr) for x in s]),
         )
+        skys = [skyline_of(h) for h in heights]
         for snap in snaps:
             for d in snap:
                 if not is_canonical_skyline(list(d)):

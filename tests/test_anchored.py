@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from dcore.anchored import (
     HIndexFixpoint,
     LuppProgram,
-    RefineProgram,
+    RowProgram,
     anchored_decompose,
     compute_kmax,
     compute_lupp,
@@ -79,7 +79,7 @@ def test_phase2_upper_bounds_dominate_oracle():
 def test_phase3_ref8_rows(ref8):
     kmaxes, _ = compute_kmax(ref8)
     lupps, _ = compute_lupp(ref8, kmaxes)
-    table, _ = refine(ref8, kmaxes, lupps)
+    table, _ = refine(ref8, lupps)
     assert table.rows == REF8_LMAX
     assert table.rows[6] == [2, 1]   # v7 refined from [2, 2]
     assert table.rows[0] == [2, 2, 2]  # v1 unchanged
@@ -151,7 +151,7 @@ def test_monotone_descent_all_phases(ref8):
 
         snaps = []
         run_program(
-            RefineProgram(kmaxes, lupps),
+            RowProgram(lupps),
             graph,
             observer=lambda _, states: snaps.append([list(s.arr) for s in states]),
         )
@@ -189,7 +189,7 @@ def test_init_messages_send_one_triple_per_run(source, request):
     kmaxes, _ = compute_kmax(g)
     lupps, _ = compute_lupp(g, kmaxes)
     for start in (lupps, _raised(g, lupps)):
-        program = RefineProgram(kmaxes, start)
+        program = RowProgram(start)
         for v in range(g.n):
             _, payload = program.init(v, g)
             assert payload[-1][0] == kmaxes[v]
@@ -220,17 +220,17 @@ def test_counting_programs_match_from_scratch_every_superstep(source, request):
     g = graph_from(source, request)
     kmaxes, _ = compute_kmax(g)
     lupps, _ = compute_lupp(g, kmaxes)
-    # Out-degree bounds are loose, so phase III lowers slots through long
-    # chains of one-step drops and threshold moves.
+    # Out-degree bounds are loose, so phase III walks slots down by long
+    # drops and moves many thresholds.
     loose = [[len(g.out_adj[v])] * (kmaxes[v] + 1) for v in range(g.n)]
     raised = _raised(g, lupps)
     pairs = [
         ("value", HIndexFixpoint("in"), NaiveHIndexFixpoint("in")),
         ("value", HIndexFixpoint("out"), NaiveHIndexFixpoint("out")),
         ("arr", LuppProgram(kmaxes), NaiveLuppProgram(kmaxes)),
-        ("arr", RefineProgram(kmaxes, lupps), NaiveRefineProgram(kmaxes, lupps)),
-        ("arr", RefineProgram(kmaxes, raised), NaiveRefineProgram(kmaxes, raised)),
-        ("arr", RefineProgram(kmaxes, loose), NaiveRefineProgram(kmaxes, loose)),
+        ("arr", RowProgram(lupps), NaiveRefineProgram(lupps)),
+        ("arr", RowProgram(raised), NaiveRefineProgram(raised)),
+        ("arr", RowProgram(loose), NaiveRefineProgram(loose)),
     ]
     for mode, parts in [
         ("vertex", None),
@@ -244,7 +244,7 @@ def test_counting_programs_match_from_scratch_every_superstep(source, request):
     # the loose start still ends at the oracle's rows, and so does the
     # non-monotone one
     assert got[1] == peel_decompose(g).rows
-    assert refine(g, kmaxes, raised)[0].rows == got[1]
+    assert refine(g, raised)[0].rows == got[1]
 
 
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
@@ -326,9 +326,9 @@ def test_support_counters_equal_a_recount_after_every_superstep(source, request)
             (HIndexFixpoint("in"), _check_h_histogram),
             (HIndexFixpoint("out"), _check_h_histogram),
             (LuppProgram(kmaxes), _check_lupp_histograms),
-            (RefineProgram(kmaxes, lupps), _check_refine_histograms),
-            (RefineProgram(kmaxes, _raised(g, lupps)), _check_refine_histograms),
-            (RefineProgram(kmaxes, loose), _check_refine_histograms),
+            (RowProgram(lupps), _check_refine_histograms),
+            (RowProgram(_raised(g, lupps)), _check_refine_histograms),
+            (RowProgram(loose), _check_refine_histograms),
         ]
         for program, check in checks:
             log = record_deliveries(program)

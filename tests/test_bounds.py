@@ -5,11 +5,11 @@ every emission reaches all of its recipients, so the deliveries of a phase
 (messages_total + intra_messages, in either mode) are at most the sum over
 v of (1 + the total drop of v's values) times v's fan-out.  Phase I starts
 each value at the in-degree and ends at kmax; phase II starts every slot
-at the out-degree and ends at l_upp; phase III lowers each slot by exactly
-one per emission, from l_upp to l_max; the D-index lowers each row height
-f(k) from L to its final value, -1 for a row that dies.  So a program that
-emits without a change, or a scheduler that delivers a payload twice,
-breaks a bound; the phase III and D-index bounds are often met exactly.
+at the out-degree and ends at l_upp; phase III lowers each slot from l_upp
+to l_max; the D-index lowers each row height f(k) from L to its final
+value, -1 for a row that dies.  Each emission lowers a value by at least
+one, so a program that emits without a change, or a scheduler that
+delivers a payload twice, breaks a bound.
 """
 
 import pytest

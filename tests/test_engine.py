@@ -2,7 +2,7 @@
 
 import pytest
 
-from dcore.anchored import HIndexFixpoint, LuppProgram, RefineProgram
+from dcore.anchored import HIndexFixpoint, LuppProgram, RowProgram
 from dcore.engine import (
     EngineMetrics,
     SuperstepLimitError,
@@ -11,10 +11,9 @@ from dcore.engine import (
     run_program,
 )
 from dcore.graph import build_graph, generate_random_digraph, hash_partition, make_partition
-from dcore.skyline import SkylineProgram
 
 from _naive import naive_schedule
-from conftest import REF8_KMAX
+from conftest import REF8_KMAX, boxes
 
 
 class SilentProgram(VertexProgram):
@@ -237,8 +236,8 @@ def _program_factories(g):
         "kmax": lambda: HIndexFixpoint("in"),
         "lmax": lambda: HIndexFixpoint("out"),
         "lupp": lambda: LuppProgram(kmaxes),
-        "refine": lambda: RefineProgram(kmaxes, lupps),
-        "skyline": lambda: SkylineProgram(list(zip(kmaxes, lmaxes))),
+        "refine": lambda: RowProgram(lupps),
+        "skyline": lambda: RowProgram(boxes(zip(kmaxes, lmaxes))),
     }
 
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcore.anchored import RefineProgram
+from dcore.anchored import RowProgram, compute_kmax, compute_lupp
 from dcore.engine import run_program
 from dcore.graph import build_graph, generate_random_digraph, make_partition
 from dcore.kernels import d_index, d_index_over_sets, is_canonical_skyline
 from dcore.peel import anchored_to_skyline, peel_decompose
-from dcore.skyline import SkylineProgram, skyline_decompose, tight_init
+from dcore.skyline import skyline_decompose, skyline_of, tight_init
 
 from _naive import NaiveSkylineProgram, naive_d_index_over_sets, set_dominated_by
 from conftest import (
@@ -19,6 +19,7 @@ from conftest import (
     REF7_SC,
     REF8_SKYLINE,
     REF8_TIGHT_INIT,
+    boxes,
     clipped_histogram,
     drawn_graphs,
     graph_from,
@@ -160,9 +161,9 @@ def test_antichain_and_dominance_descent_every_superstep(ref8):
         pairs, _ = tight_init(graph)
         snaps = []
         run_program(
-            SkylineProgram(pairs),
+            RowProgram(boxes(pairs)),
             graph,
-            observer=lambda _, states: snaps.append([s.d for s in states]),
+            observer=lambda _, states: snaps.append([skyline_of(s.arr) for s in states]),
         )
         for snap in snaps:
             for d in snap:
@@ -207,11 +208,11 @@ def test_skyline_rounds_at_most_anchored_rounds_on_fixtures(ref7, ref8):
         assert sky_metrics[-1].supersteps <= sum(m.supersteps for m in ac_metrics)
 
 
-def _d_trace(program, g, parts, mode):
+def _d_trace(program, g, parts, mode, read):
     snaps = []
     _, metrics = run_program(
         program, g, parts, mode,
-        observer=lambda _, states: snaps.append([s.d for s in states]),
+        observer=lambda _, states: snaps.append([read(s) for s in states]),
     )
     return snaps, metrics
 
@@ -229,8 +230,10 @@ def test_incremental_program_matches_from_scratch_every_superstep(source, reques
             ("block", make_partition("hash", g, 3)),
             ("block", make_partition("seg", g, 4)),
         ]:
-            got = _d_trace(SkylineProgram(pairs), g, parts, mode)
-            want = _d_trace(NaiveSkylineProgram(pairs), g, parts, mode)
+            got = _d_trace(
+                RowProgram(boxes(pairs)), g, parts, mode, lambda s: tuple(skyline_of(s.arr))
+            )
+            want = _d_trace(NaiveSkylineProgram(pairs), g, parts, mode, lambda s: s.d)
             assert got == want, (pairs is tight, mode)
     # the loose start still ends at the oracle's skylines
     assert got[0][-1] == [tuple(sky) for sky in anchored_to_skyline(peel_decompose(g))]
@@ -238,12 +241,29 @@ def test_incremental_program_matches_from_scratch_every_superstep(source, reques
 
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
 def test_init_message_is_one_run_of_the_fold_shared_with_phase_three(source, request):
+    # Phase III runs the same class, RowProgram, so the fold is shared by
+    # construction; a box start sends its one run.
     g = graph_from(source, request)
     pairs, _ = tight_init(g)
-    program = SkylineProgram(pairs)
+    program = RowProgram(boxes(pairs))
     for v, (K, L) in enumerate(pairs):
         assert program.init(v, g)[1] == ((K, -1, L),)
-    assert SkylineProgram.on_broadcast is RefineProgram.on_broadcast
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_row_heights_from_the_box_or_the_lupp_arrays_are_the_anchored_table(
+    source, request
+):
+    # The fact that lets phase III and the D-index be one program.
+    g = graph_from(source, request)
+    want = peel_decompose(g).rows
+    pairs, _ = tight_init(g)
+    kmaxes, _ = compute_kmax(g)
+    lupps, _ = compute_lupp(g, kmaxes)
+    for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
+        for starts in (boxes(pairs), lupps):
+            heights, _ = run_program(RowProgram(starts), g, parts, mode)
+            assert heights == want, (mode, starts is lupps)
 
 
 def _row_height(ins, outs, k, top):
@@ -268,7 +288,7 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
     degrees = [(len(g.in_adj[v]), len(g.out_adj[v])) for v in range(g.n)]
     for pairs in (tight, degrees):
         for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
-            program = SkylineProgram(pairs)
+            program = RowProgram(boxes(pairs))
             log = record_deliveries(program)
             steps = []
 
