@@ -12,11 +12,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .anchored import anchored_decompose
-from .engine import EngineMetrics, SuperstepLimitError
+from .engine import MODES, SuperstepLimitError
 from .graph import (
+    PARTITIONERS,
     DirectedGraph,
     EdgeListError,
     generate_random_digraph,
@@ -31,49 +31,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-ALGOS = ("peel", "anchored", "skyline")
-MODES = ("vertex", "block")
-PARTITIONERS = ("hash", "seg")
 WORKERS_HELP = "accepted for compatibility and ignored: the simulator is single-threaded"
 
 
 class CliError(Exception):
     """Usage-level failure reported on stderr with exit status 2."""
-
-
-@dataclass
-class RunReport:
-    """What one decomposition run did: configuration, metrics, timing."""
-
-    algorithm: str
-    mode: str | None
-    blocks: int | None
-    partitioner: str | None
-    phases: list[EngineMetrics]
-    wall_time_s: float
-    output_path: str | None
-
-    def as_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "mode": self.mode,
-            "blocks": self.blocks,
-            "partitioner": self.partitioner,
-            "wall_time_s": self.wall_time_s,
-            "output": self.output_path,
-            "phases": [
-                {
-                    "phase": m.phase,
-                    "supersteps": m.supersteps,
-                    "messages": m.messages_total,
-                    "messages_per_step": m.messages_per_step,
-                    "intra_messages": m.intra_messages,
-                }
-                for m in self.phases
-            ],
-            "supersteps_total": sum(m.supersteps for m in self.phases),
-            "messages_total": sum(m.messages_total for m in self.phases),
-        }
 
 
 def _load_graph(path: str) -> DirectedGraph:
@@ -112,29 +74,50 @@ def _write_results(path: str, g: DirectedGraph, per_vertex_pairs) -> None:
     )
 
 
+def _table_pairs(table) -> list:
+    """Per-vertex anchored pair lists read off an AnchoredTable."""
+    return [table.pairs(v) for v in range(table.n)]
+
+
+def _run_peel(g, parts, mode):
+    return _table_pairs(peel_decompose(g)), []
+
+
+def _run_anchored(g, parts, mode):
+    table, phases = anchored_decompose(g, parts, mode)
+    return _table_pairs(table), phases
+
+
+# name -> (run(g, parts, mode) -> (per-vertex pairs, phase metrics),
+#          the same pairs read off a peel table, or None for peel itself)
+ALGOS = {
+    "peel": (_run_peel, None),
+    "anchored": (_run_anchored, _table_pairs),
+    "skyline": (skyline_decompose, anchored_to_skyline),
+}
+
+
+def _is_distributed(algo: str) -> bool:
+    return ALGOS[algo][1] is not None
+
+
 def _run_algo(g, algo, mode, blocks, partitioner):
-    """Per-vertex result pairs, per-phase engine metrics and wall time."""
+    """Per-vertex result pairs, per-phase engine metrics and wall time.
+
+    blocks is None for peel, which takes no partition.
+    """
     start = time.perf_counter()
-    if algo == "peel":
-        table = peel_decompose(g)
-        pairs = [table.pairs(v) for v in range(g.n)]
-        phases = []
-    else:
-        parts = make_partition(partitioner, g, blocks)
-        if algo == "anchored":
-            table, phases = anchored_decompose(g, parts, mode)
-            pairs = [table.pairs(v) for v in range(g.n)]
-        else:
-            pairs, phases = skyline_decompose(g, parts, mode)
-    wall = time.perf_counter() - start
-    return pairs, phases, wall
+    parts = None if blocks is None else make_partition(partitioner, g, blocks)
+    pairs, phases = ALGOS[algo][0](g, parts, mode)
+    return pairs, phases, time.perf_counter() - start
 
 
-def _check_distributed_flags(args) -> tuple[str, int, str]:
-    if args.algo == "peel":
+def _check_distributed_flags(args) -> tuple[str | None, int | None, str | None]:
+    """(mode, blocks, partitioner) with defaults filled in; all None for peel."""
+    if not _is_distributed(args.algo):
         if args.mode or args.blocks or args.partitioner:
-            raise CliError("--mode/--blocks/--partitioner do not apply to --algo peel")
-        return "vertex", 1, "hash"
+            raise CliError(f"--mode/--blocks/--partitioner do not apply to --algo {args.algo}")
+        return None, None, None
     blocks = 1 if args.blocks is None else _positive_int(args.blocks, "--blocks")
     return args.mode or "vertex", blocks, args.partitioner or "hash"
 
@@ -144,38 +127,39 @@ def cmd_decompose(args) -> int:
     mode, blocks, partitioner = _check_distributed_flags(args)
     pairs, phases, wall = _run_algo(g, args.algo, mode, blocks, partitioner)
     _write_results(args.out, g, pairs)
-    report = RunReport(
-        algorithm=args.algo,
-        mode=None if args.algo == "peel" else mode,
-        blocks=None if args.algo == "peel" else blocks,
-        partitioner=None if args.algo == "peel" else partitioner,
-        phases=phases,
-        wall_time_s=wall,
-        output_path=args.out,
-    )
+    report = {
+        "algorithm": args.algo,
+        "mode": mode,
+        "blocks": blocks,
+        "partitioner": partitioner,
+        "wall_time_s": wall,
+        "output": args.out,
+        "phases": [
+            {
+                "phase": m.phase,
+                "supersteps": m.supersteps,
+                "messages": m.messages_total,
+                "messages_per_step": m.messages_per_step,
+                "intra_messages": m.intra_messages,
+            }
+            for m in phases
+        ],
+        "supersteps_total": sum(m.supersteps for m in phases),
+        "messages_total": sum(m.messages_total for m in phases),
+    }
     report_path = args.out + ".report"
-    _write_text(report_path, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+    _write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} and {report_path}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if args.algo == "peel":
+    if not _is_distributed(args.algo):
         raise CliError("verify compares a distributed algorithm against peel")
     g = _load_graph(args.input)
     mode, blocks, partitioner = _check_distributed_flags(args)
     got, _, _ = _run_algo(g, args.algo, mode, blocks, partitioner)
-    oracle = peel_decompose(g)
-    if args.algo == "anchored":
-        want = [oracle.pairs(v) for v in range(g.n)]
-    else:
-        want = anchored_to_skyline(oracle)
-    if args.corrupt_label is not None:
-        v = g.id_map.get(args.corrupt_label)
-        if v is None:
-            raise CliError(f"no vertex labeled {args.corrupt_label}")
-        got = list(got)
-        got[v] = list(got[v]) + [got[v][-1]]
+    want = ALGOS[args.algo][1](peel_decompose(g))
     for v in range(g.n):
         if got[v] != want[v]:
             print(
@@ -195,24 +179,19 @@ def cmd_bench(args) -> int:
     repeat = _positive_int(args.repeat, "--repeat")
     rows = []
     for algo in algos:
-        if algo == "peel":
-            configs = [(None, None)]
-        else:
+        if _is_distributed(algo):
             configs = [(mode, b) for mode in modes for b in blocks_list]
+        else:
+            configs = [(None, None)]
         for mode, blocks in configs:
             metrics_runs = []
             walls = []
             for _ in range(repeat):
-                _, phases, wall = _run_algo(
-                    g, algo, mode or "vertex", blocks or 1, args.partitioner
-                )
+                _, phases, wall = _run_algo(g, algo, mode, blocks, args.partitioner)
                 metrics_runs.append(phases)
                 walls.append(wall)
-            for other in metrics_runs[1:]:
-                if [
-                    (m.supersteps, m.messages_total) for m in other
-                ] != [(m.supersteps, m.messages_total) for m in metrics_runs[0]]:
-                    raise CliError("nondeterministic metrics across repeats")
+            if any(other != metrics_runs[0] for other in metrics_runs[1:]):
+                raise CliError("nondeterministic metrics across repeats")
             phases = metrics_runs[0]
             steps = "+".join(str(m.supersteps) for m in phases) or "-"
             total = sum(m.supersteps for m in phases)
@@ -293,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a distributed run against the peel oracle")
     _add_distributed_flags(p, with_out=False)
-    p.add_argument("--corrupt-label", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="superstep/message/time table for configurations")

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 from .graph import DirectedGraph, PartitionMap
 
+MODES = ("vertex", "block")
+
 
 @dataclass
 class EngineMetrics:
@@ -146,7 +148,7 @@ def run_program(
     ignored.  `observer(step, states)` is called after init as step 1 and
     then after every superstep.
     """
-    if mode not in ("vertex", "block"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "block" and parts is None:
         raise ValueError("block mode requires a partition")

@@ -108,20 +108,14 @@ def build_graph(n: int, arcs, labels: list[int] | None = None) -> DirectedGraph:
     return DirectedGraph(n=n, in_adj=in_adj, out_adj=out_adj, labels=labels)
 
 
-def _iter_lines(source):
-    if isinstance(source, bytes):
-        source = source.decode("utf-8", errors="replace")
-    if isinstance(source, str):
-        return source.splitlines()
-    return source
-
-
 def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
     """Parse SNAP-style edge-list text into a graph plus cleaning stats.
 
     Lines starting with '#' are comments; a `# n=<count>` comment declares
     vertices 0..count-1 up front so isolated vertices survive a round trip.
-    Each remaining line must be two integer labels `src dst`.
+    Each remaining line must be two integer labels `src dst`.  source is
+    the whole text as one str or an iterable of str lines, such as a text
+    file handle.
     """
     label_to_id: dict[int, int] = {}
     labels: list[int] = []
@@ -137,9 +131,10 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
             labels.append(label)
         return dense
 
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
+    # the split lines must not outlive the loop: build_graph is the peak
+    for lineno, raw in enumerate(
+        source.splitlines() if isinstance(source, str) else source, start=1
+    ):
         line = raw.strip()
         if not line:
             continue

@@ -70,9 +70,7 @@ def skyline_decompose(
 
     The result equals anchored_to_skyline(peel_decompose(g)) vertexwise.
     """
-    init_kwargs = dict(kwargs)
-    init_kwargs.pop("observer", None)
-    pairs, metrics = tight_init(g, parts, mode, **init_kwargs)
+    pairs, metrics = tight_init(g, parts, mode, **kwargs)
     boxes = [[L] * (K + 1) for K, L in pairs]
     heights, m_d = run_program(RowProgram(boxes), g, parts, mode, phase="d-index", **kwargs)
     return [skyline_of(h) for h in heights], metrics + [m_d]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dcore
-from dcore import engine
+from dcore import cli, engine
 from dcore.anchored import compute_kmax
 from dcore.cli import main
 
@@ -140,10 +140,17 @@ def test_verify_random_graph_block_mode(tmp_path):
     ]) == 0
 
 
-def test_verify_detects_injected_corruption(ref8_file, capsys):
-    rc = main([
-        "verify", str(ref8_file), "--algo", "skyline", "--corrupt-label", "3",
-    ])
+def test_verify_detects_injected_corruption(ref8_file, capsys, monkeypatch):
+    run, from_peel = cli.ALGOS["skyline"]
+
+    def corrupted(g, parts, mode):
+        pairs, phases = run(g, parts, mode)
+        v = g.id_map[3]
+        pairs[v] = pairs[v] + [pairs[v][-1]]
+        return pairs, phases
+
+    monkeypatch.setitem(cli.ALGOS, "skyline", (corrupted, from_peel))
+    rc = main(["verify", str(ref8_file), "--algo", "skyline"])
     assert rc == 1
     assert "divergence at vertex 3" in capsys.readouterr().out
 

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -43,8 +44,11 @@ def test_parse_keeps_original_labels():
 
 
 def test_parse_comments_and_blank_lines():
-    g = parse_edge_list("# header\n\n1 2\n# trailing\n2 3\n")
+    text = "# header\n\n1 2\n# trailing\n2 3\n"
+    g = parse_edge_list(text)
     assert g.n == 3 and g.num_arcs == 2
+    # a text handle yields lines that keep their newlines
+    assert parse_edge_list(io.StringIO(text)) == g
 
 
 def test_parse_n_header_declares_isolated_vertices():
@@ -62,6 +66,8 @@ def test_parse_n_header_declares_isolated_vertices():
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(EdgeListError, match=fragment):
         parse_edge_list(text)
+    with pytest.raises(EdgeListError, match=fragment):
+        parse_edge_list(io.StringIO(text))
 
 
 def test_adjacency_invariants_on_parsed_graph():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcore.anchored import RowProgram, compute_kmax, compute_lupp
+from dcore.anchored import RowProgram, anchored_decompose, compute_kmax, compute_lupp
 from dcore.engine import run_program
 from dcore.graph import build_graph, generate_random_digraph, make_partition
 from dcore.kernels import d_index, d_index_over_sets, is_canonical_skyline
@@ -34,6 +34,16 @@ def test_tight_init_ref8(ref8):
     pairs, metrics = tight_init(ref8)
     assert pairs == REF8_TIGHT_INIT
     assert len(metrics) == 2
+
+
+@pytest.mark.parametrize("decompose", [anchored_decompose, skyline_decompose])
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+def test_observer_sees_every_superstep_of_every_phase(decompose, mode, ref8):
+    steps = []
+    parts = make_partition("hash", ref8, 3)
+    _, metrics = decompose(ref8, parts, mode, observer=lambda step, states: steps.append(step))
+    assert len(steps) == sum(m.supersteps for m in metrics)
+    assert steps.count(1) == len(metrics)
 
 
 def test_tight_init_arcless_graph():
