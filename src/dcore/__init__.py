@@ -31,7 +31,6 @@ from .kernels import (
     dominates_strict,
     dominates_weak,
     h_index,
-    skyline_reduce,
 )
 from .peel import (
     AnchoredTable,
@@ -41,7 +40,7 @@ from .peel import (
     out_core_numbers,
     peel_decompose,
 )
-from .skyline import skyline_decompose, tight_init
+from .skyline import skyline_decompose, skyline_table, tight_init
 
 __all__ = [
     "AnchoredTable",
@@ -74,7 +73,7 @@ __all__ = [
     "run_program",
     "segment_partition",
     "skyline_decompose",
-    "skyline_reduce",
+    "skyline_table",
     "tight_init",
     "write_edge_list",
 ]

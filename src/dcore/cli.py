@@ -25,7 +25,7 @@ from .graph import (
     write_edge_list,
 )
 from .peel import anchored_to_skyline, peel_decompose
-from .skyline import skyline_decompose
+from .skyline import skyline_table
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -80,36 +80,31 @@ def _table_pairs(table) -> list:
 
 
 def _run_peel(g, parts, mode):
-    return _table_pairs(peel_decompose(g)), []
+    return peel_decompose(g), []
 
 
-def _run_anchored(g, parts, mode):
-    table, phases = anchored_decompose(g, parts, mode)
-    return _table_pairs(table), phases
-
-
-# name -> (run(g, parts, mode) -> (per-vertex pairs, phase metrics),
-#          the same pairs read off a peel table, or None for peel itself)
+# name -> (run(g, parts, mode) -> (AnchoredTable, phase metrics),
+#          the per-vertex pairs its result file lists, read off that table)
 ALGOS = {
-    "peel": (_run_peel, None),
-    "anchored": (_run_anchored, _table_pairs),
-    "skyline": (skyline_decompose, anchored_to_skyline),
+    "peel": (_run_peel, _table_pairs),
+    "anchored": (anchored_decompose, _table_pairs),
+    "skyline": (skyline_table, anchored_to_skyline),
 }
 
 
 def _is_distributed(algo: str) -> bool:
-    return ALGOS[algo][1] is not None
+    return algo != "peel"
 
 
 def _run_algo(g, algo, mode, blocks, partitioner):
-    """Per-vertex result pairs, per-phase engine metrics and wall time.
+    """The AnchoredTable, per-phase engine metrics and wall time of one run.
 
     blocks is None for peel, which takes no partition.
     """
     start = time.perf_counter()
     parts = None if blocks is None else make_partition(partitioner, g, blocks)
-    pairs, phases = ALGOS[algo][0](g, parts, mode)
-    return pairs, phases, time.perf_counter() - start
+    table, phases = ALGOS[algo][0](g, parts, mode)
+    return table, phases, time.perf_counter() - start
 
 
 def _check_distributed_flags(args) -> tuple[str | None, int | None, str | None]:
@@ -125,8 +120,8 @@ def _check_distributed_flags(args) -> tuple[str | None, int | None, str | None]:
 def cmd_decompose(args) -> int:
     g = _load_graph(args.input)
     mode, blocks, partitioner = _check_distributed_flags(args)
-    pairs, phases, wall = _run_algo(g, args.algo, mode, blocks, partitioner)
-    _write_results(args.out, g, pairs)
+    table, phases, wall = _run_algo(g, args.algo, mode, blocks, partitioner)
+    _write_results(args.out, g, ALGOS[args.algo][1](table))
     report = {
         "algorithm": args.algo,
         "mode": mode,
@@ -159,12 +154,12 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.input)
     mode, blocks, partitioner = _check_distributed_flags(args)
     got, _, _ = _run_algo(g, args.algo, mode, blocks, partitioner)
-    want = ALGOS[args.algo][1](peel_decompose(g))
+    want = peel_decompose(g)
     for v in range(g.n):
-        if got[v] != want[v]:
+        if got.rows[v] != want.rows[v]:
             print(
-                f"divergence at vertex {g.labels[v]}: "
-                f"{args.algo}={got[v]} oracle={want[v]}"
+                f"divergence at vertex {g.labels[v]}: l_max rows "
+                f"{args.algo}={got.rows[v]} oracle={want.rows[v]}"
             )
             return EXIT_VERIFY_FAILED
     print(f"{args.algo}/{mode} matches the peeling oracle on {g.n} vertices")

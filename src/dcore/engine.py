@@ -47,14 +47,16 @@ class EngineMetrics:
     """Exact round and message accounting for one engine run."""
 
     phase: str
-    supersteps: int
-    messages_total: int
-    messages_per_step: list[int]
+    messages_per_step: list[int]  # one count per superstep, init's broadcast first
     intra_messages: int = 0  # block mode: deliveries kept inside a block after init
 
-    def check(self) -> None:
-        assert self.messages_total == sum(self.messages_per_step)
-        assert self.supersteps == len(self.messages_per_step)
+    @property
+    def supersteps(self) -> int:
+        return len(self.messages_per_step)
+
+    @property
+    def messages_total(self) -> int:
+        return sum(self.messages_per_step)
 
 
 class SuperstepLimitError(RuntimeError):
@@ -186,7 +188,7 @@ def run_program(
                 into.update(rs)
 
     def metrics_so_far() -> EngineMetrics:
-        return EngineMetrics(phase, len(per_step), sum(per_step), list(per_step), intra_total)
+        return EngineMetrics(phase, list(per_step), intra_total)
 
     held = []
     for v in range(g.n):

@@ -131,9 +131,11 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
             labels.append(label)
         return dense
 
-    # the split lines must not outlive the loop: build_graph is the peak
+    # A str splits at \n, \r and \r\n only, as a text file does; the split
+    # lines must not outlive the loop: build_graph is the peak.
     for lineno, raw in enumerate(
-        source.splitlines() if isinstance(source, str) else source, start=1
+        source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if isinstance(source, str) else source, start=1
     ):
         line = raw.strip()
         if not line:

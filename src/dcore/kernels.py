@@ -34,18 +34,6 @@ def dominates_strict(a: Pair, b: Pair) -> bool:
     return b[0] <= a[0] and b[1] <= a[1] and a != b
 
 
-def skyline_reduce(pairs) -> list[Pair]:
-    """Maximal antichain of the distinct input pairs, in canonical order."""
-    out: list[Pair] = []
-    best_l = -1
-    for k, l in sorted(set(pairs), reverse=True):
-        if l > best_l:
-            out.append((k, l))
-            best_l = l
-    out.reverse()
-    return out
-
-
 def is_canonical_skyline(pairs) -> bool:
     """True when pairs form an antichain sorted by ascending k."""
     for (k1, l1), (k2, l2) in zip(pairs, pairs[1:]):

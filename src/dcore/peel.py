@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import DirectedGraph
-from .kernels import Pair, skyline_reduce
+from .kernels import Pair
 
 
 @dataclass
@@ -166,6 +166,18 @@ def _lmax_column(g: DirectedGraph, members: list[int], k: int) -> dict[int, int]
     return lmax
 
 
+def skyline_of(row: list[int]) -> list[Pair]:
+    """The skyline of an anchored row, k-ascending: each (k, row[k]) above every later entry."""
+    pairs: list[Pair] = []
+    hi = -1
+    for k in range(len(row) - 1, -1, -1):
+        if row[k] > hi:
+            hi = row[k]
+            pairs.append((k, hi))
+    pairs.reverse()
+    return pairs
+
+
 def anchored_to_skyline(table: AnchoredTable) -> list[list[Pair]]:
     """Per-vertex skyline coreness sets read off an anchored table."""
-    return [skyline_reduce(table.pairs(v)) for v in range(table.n)]
+    return [skyline_of(row) for row in table.rows]

@@ -12,9 +12,8 @@ in-neighbors and at least l out-neighbors have height >= l at k, or -1
 when fewer than k in-neighbors reach k.  That is the row height of
 anchored.RowProgram, so the D-index iteration is RowProgram started from
 the box [L] * (K + 1), whose init message is the one run ((K, -1, L),).
-The heights end at the anchored table, and skyline_of reads each set off
-them in O(K): the pairs (k, f[k]) whose height exceeds that of every row
-past k.
+The heights end at the anchored table, which skyline_table returns;
+skyline_decompose reads each set off it with peel.anchored_to_skyline.
 """
 
 from __future__ import annotations
@@ -23,21 +22,10 @@ from .anchored import HIndexFixpoint, RowProgram
 from .engine import EngineMetrics, run_program
 from .graph import DirectedGraph, PartitionMap
 from .kernels import Pair
+from .peel import AnchoredTable, anchored_to_skyline
 # No program here calls d_index_over_sets; benchmarks/tracer.py still counts
 # calls through this module attribute, so it stays importable.
 from .kernels import d_index_over_sets  # noqa: F401
-
-
-def skyline_of(heights: list[int]) -> list[Pair]:
-    """The skyline, k-ascending: each (k, f[k]) above every row past k."""
-    pairs: list[Pair] = []
-    hi = -1
-    for k in range(len(heights) - 1, -1, -1):
-        if heights[k] > hi:
-            hi = heights[k]
-            pairs.append((k, hi))
-    pairs.reverse()
-    return pairs
 
 
 def tight_init(
@@ -60,6 +48,19 @@ def tight_init(
     return list(zip(kmaxes, lmaxes)), [m_in, m_out]
 
 
+def skyline_table(
+    g: DirectedGraph,
+    parts: PartitionMap | None = None,
+    mode: str = "vertex",
+    **kwargs,
+) -> tuple[AnchoredTable, list[EngineMetrics]]:
+    """The D-index's converged heights, equal to peel_decompose(g), plus metrics."""
+    pairs, metrics = tight_init(g, parts, mode, **kwargs)
+    boxes = [[L] * (K + 1) for K, L in pairs]
+    heights, m_d = run_program(RowProgram(boxes), g, parts, mode, phase="d-index", **kwargs)
+    return AnchoredTable(heights), metrics + [m_d]
+
+
 def skyline_decompose(
     g: DirectedGraph,
     parts: PartitionMap | None = None,
@@ -70,7 +71,5 @@ def skyline_decompose(
 
     The result equals anchored_to_skyline(peel_decompose(g)) vertexwise.
     """
-    pairs, metrics = tight_init(g, parts, mode, **kwargs)
-    boxes = [[L] * (K + 1) for K, L in pairs]
-    heights, m_d = run_program(RowProgram(boxes), g, parts, mode, phase="d-index", **kwargs)
-    return [skyline_of(h) for h in heights], metrics + [m_d]
+    table, metrics = skyline_table(g, parts, mode, **kwargs)
+    return anchored_to_skyline(table), metrics

@@ -24,8 +24,9 @@ from dcore.peel import (
     in_core_numbers,
     out_core_numbers,
     peel_decompose,
+    skyline_of,
 )
-from dcore.skyline import skyline_decompose, skyline_of, tight_init
+from dcore.skyline import skyline_decompose, tight_init
 
 from _naive import set_dominated_by
 from conftest import (

@@ -98,8 +98,6 @@ def test_full_decompose_fig_fixtures(ref7, ref8):
     t2, metrics2 = anchored_decompose(ref8)
     assert t2.rows == REF8_LMAX
     assert [m.phase for m in metrics2] == ["phase I", "phase II", "phase III"]
-    for m in metrics2:
-        m.check()
 
 
 def test_full_decompose_arcless_graph():

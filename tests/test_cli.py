@@ -141,18 +141,25 @@ def test_verify_random_graph_block_mode(tmp_path):
 
 
 def test_verify_detects_injected_corruption(ref8_file, capsys, monkeypatch):
-    run, from_peel = cli.ALGOS["skyline"]
+    # Lower l_max(8, 0) from 1 to 0.  (0, 1) is dominated by (1, 1), so the
+    # row still reads the oracle's skyline; only the full table shows it.
+    run, to_pairs = cli.ALGOS["skyline"]
 
     def corrupted(g, parts, mode):
-        pairs, phases = run(g, parts, mode)
-        v = g.id_map[3]
-        pairs[v] = pairs[v] + [pairs[v][-1]]
-        return pairs, phases
+        table, phases = run(g, parts, mode)
+        oracle = to_pairs(table)
+        row = table.rows[g.id_map[8]]
+        assert row == [1, 1, 0]
+        row[0] = 0
+        assert to_pairs(table) == oracle
+        return table, phases
 
-    monkeypatch.setitem(cli.ALGOS, "skyline", (corrupted, from_peel))
+    monkeypatch.setitem(cli.ALGOS, "skyline", (corrupted, to_pairs))
     rc = main(["verify", str(ref8_file), "--algo", "skyline"])
     assert rc == 1
-    assert "divergence at vertex 3" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "divergence at vertex 8" in out
+    assert "skyline=[0, 1, 0] oracle=[1, 1, 0]" in out
 
 
 def test_verify_rejects_peel(ref8_file, capsys):

@@ -49,6 +49,10 @@ def test_parse_comments_and_blank_lines():
     assert g.n == 3 and g.num_arcs == 2
     # a text handle yields lines that keep their newlines
     assert parse_edge_list(io.StringIO(text)) == g
+    # a str splits at \r and \r\n too, as a text file opened with open() does
+    for eol in ("\r\n", "\r"):
+        other = text.replace("\n", eol)
+        assert parse_edge_list(other) == parse_edge_list(io.StringIO(other, newline=None)) == g
 
 
 def test_parse_n_header_declares_isolated_vertices():
@@ -62,6 +66,9 @@ def test_parse_n_header_declares_isolated_vertices():
     ("0 1\nx 2\n", "line 2"),
     ("0\n", "line 1"),
     ("0 1 2\n", "line 1"),
+    # a form feed ends no line in a text file, so it must not in a str either
+    ("1 2\x0c3 4\n", "line 1: expected 2 tokens, got 4"),
+    ("1 2\u20283 4\n", "line 1: expected 2 tokens, got 4"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(EdgeListError, match=fragment):

@@ -11,10 +11,9 @@ from dcore.kernels import (
     h_index,
     is_canonical_skyline,
     max_l_at,
-    skyline_reduce,
 )
 
-from _naive import naive_d_index, naive_h_index, naive_skyline
+from _naive import naive_d_index, naive_h_index
 
 pairs_st = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=0, max_size=8
@@ -48,28 +47,6 @@ def test_dominance_worked_examples():
     # equality in one coordinate still counts as strict dominance
     assert dominates_strict((3, 2), (3, 1))
     assert dominates_strict((2, 3), (1, 3))
-
-
-def test_skyline_reduce_worked_examples():
-    assert skyline_reduce([(0, 2), (1, 2), (2, 2), (3, 1)]) == [(2, 2), (3, 1)]
-    assert skyline_reduce([(1, 1)]) == [(1, 1)]
-    assert skyline_reduce([(1, 3), (3, 1), (2, 2), (1, 1)]) == [(1, 3), (2, 2), (3, 1)]
-
-
-@given(pairs_st)
-def test_skyline_reduce_matches_naive(pairs):
-    got = skyline_reduce(pairs)
-    assert got == naive_skyline(pairs)
-    assert is_canonical_skyline(got)
-
-
-@given(pairs_st)
-def test_skyline_reduce_idempotent_and_order_insensitive(pairs):
-    once = skyline_reduce(pairs)
-    assert skyline_reduce(once) == once
-    shuffled = list(pairs)
-    random.Random(0).shuffle(shuffled)
-    assert skyline_reduce(shuffled) == once
 
 
 def test_d_index_worked_examples():
@@ -165,9 +142,9 @@ def test_hot_kernels_stay_module_attributes_of_the_algorithms(ref8, monkeypatch)
     for module in (dcore.anchored, dcore.skyline):
         monkeypatch.setattr(module, "run_program", engine_run)
 
-    dcore.peel.peel_decompose(ref8)
-    dcore.anchored.anchored_decompose(ref8, None, "vertex", workers=1)
-    dcore.skyline.skyline_decompose(ref8, None, "vertex", workers=1)
+    oracle = dcore.peel.peel_decompose(ref8)
+    table, anchored_metrics = dcore.anchored.anchored_decompose(ref8, None, "vertex", workers=1)
+    skys, skyline_metrics = dcore.skyline.skyline_decompose(ref8, None, "vertex", workers=1)
     assert calls == [
         "in_core_numbers",
         "compute_kmax", "run_program",
@@ -176,3 +153,11 @@ def test_hot_kernels_stay_module_attributes_of_the_algorithms(ref8, monkeypatch)
         "tight_init", "run_program", "run_program",
         "run_program",
     ]
+    # What benchmarks/run.py reads of the results and their metrics.
+    assert table.rows == oracle.rows
+    assert skys == dcore.peel.anchored_to_skyline(oracle)
+    for m in anchored_metrics + skyline_metrics:
+        assert isinstance(m.phase, str)
+        assert m.supersteps == len(m.messages_per_step)
+        assert m.messages_total == sum(m.messages_per_step)
+        assert m.intra_messages == 0

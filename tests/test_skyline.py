@@ -10,10 +10,15 @@ from dcore.anchored import RowProgram, anchored_decompose, compute_kmax, compute
 from dcore.engine import run_program
 from dcore.graph import build_graph, generate_random_digraph, make_partition
 from dcore.kernels import d_index, d_index_over_sets, is_canonical_skyline
-from dcore.peel import anchored_to_skyline, peel_decompose
-from dcore.skyline import skyline_decompose, skyline_of, tight_init
+from dcore.peel import anchored_to_skyline, peel_decompose, skyline_of
+from dcore.skyline import skyline_decompose, skyline_table, tight_init
 
-from _naive import NaiveSkylineProgram, naive_d_index_over_sets, set_dominated_by
+from _naive import (
+    NaiveSkylineProgram,
+    naive_d_index_over_sets,
+    naive_skyline,
+    set_dominated_by,
+)
 from conftest import (
     GRAPH_SOURCES,
     REF7_SC,
@@ -91,10 +96,8 @@ def test_step_matches_combinatorial_brute_force():
         n_out = rng.randrange(0, 5)
 
         def random_sky():
-            from dcore.kernels import skyline_reduce
-
             pairs = [(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randrange(1, 3))]
-            return tuple(skyline_reduce(pairs))
+            return tuple(naive_skyline(pairs))
 
         in_sets = [random_sky() for _ in range(n_in)]
         out_sets = [random_sky() for _ in range(n_out)]
@@ -109,10 +112,8 @@ def test_step_on_tiny_random_graphs_matches_brute_force():
         g = generate_random_digraph(6, 0.4, seed=seed)
         skys = []
         for v in range(6):
-            from dcore.kernels import skyline_reduce
-
             pairs = [(rng.randrange(3), rng.randrange(3)) for _ in range(rng.randrange(1, 3))]
-            skys.append(tuple(skyline_reduce(pairs)))
+            skys.append(tuple(naive_skyline(pairs)))
         for v in range(6):
             in_sets, out_sets = _neighbor_views(g, skys, v)
             assert d_index_over_sets(in_sets, out_sets) == naive_d_index_over_sets(
@@ -264,7 +265,8 @@ def test_init_message_is_one_run_of_the_fold_shared_with_phase_three(source, req
 def test_row_heights_from_the_box_or_the_lupp_arrays_are_the_anchored_table(
     source, request
 ):
-    # The fact that lets phase III and the D-index be one program.
+    # The fact that lets phase III and the D-index be one program, and
+    # skyline_table return the anchored table.
     g = graph_from(source, request)
     want = peel_decompose(g).rows
     pairs, _ = tight_init(g)
@@ -274,6 +276,7 @@ def test_row_heights_from_the_box_or_the_lupp_arrays_are_the_anchored_table(
         for starts in (boxes(pairs), lupps):
             heights, _ = run_program(RowProgram(starts), g, parts, mode)
             assert heights == want, (mode, starts is lupps)
+        assert skyline_table(g, parts, mode)[0].rows == want, mode
 
 
 def _row_height(ins, outs, k, top):
