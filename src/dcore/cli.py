@@ -175,14 +175,14 @@ def cmd_bench(args) -> int:
     rows = []
     for algo in algos:
         if _is_distributed(algo):
-            configs = [(mode, b) for mode in modes for b in blocks_list]
+            configs = [(mode, b, args.partitioner) for mode in modes for b in blocks_list]
         else:
-            configs = [(None, None)]
-        for mode, blocks in configs:
+            configs = [(None, None, None)]
+        for mode, blocks, partitioner in configs:
             metrics_runs = []
             walls = []
             for _ in range(repeat):
-                _, phases, wall = _run_algo(g, algo, mode, blocks, args.partitioner)
+                _, phases, wall = _run_algo(g, algo, mode, blocks, partitioner)
                 metrics_runs.append(phases)
                 walls.append(wall)
             if any(other != metrics_runs[0] for other in metrics_runs[1:]):
@@ -196,7 +196,7 @@ def cmd_bench(args) -> int:
                     algo,
                     mode or "-",
                     str(blocks) if blocks else "-",
-                    args.partitioner,
+                    partitioner or "-",
                     steps,
                     str(total) if phases else "-",
                     str(msgs) if phases else "-",

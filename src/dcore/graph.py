@@ -100,11 +100,9 @@ def build_graph(n: int, arcs, labels: list[int] | None = None) -> DirectedGraph:
             out_sets[u].add(v)
     out_adj = [sorted(s) for s in out_sets]
     in_adj: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
+    for u in range(n):  # ascending u keeps every in_adj[v] sorted
         for v in out_adj[u]:
             in_adj[v].append(u)
-    for a in in_adj:
-        a.sort()
     return DirectedGraph(n=n, in_adj=in_adj, out_adj=out_adj, labels=labels)
 
 

@@ -1,4 +1,10 @@
-"""Pure kernels shared by every algorithm: H-index, dominance, skylines.
+"""The paper's H-index, D-index and dominance operators, in plain form.
+
+No algorithm calls them: the distributed programs fold deltas into clipped
+support histograms instead.  They are kept as the references the tests
+check those programs against and as the acceptance examples.  h_index and
+d_index_over_sets also stay imported in anchored.py and skyline.py, where
+benchmarks/tracer.py patches them.
 
 A coreness pair is a plain (k, l) tuple of non-negative ints.  A skyline set
 is an antichain of pairs kept in canonical order: strictly increasing k,

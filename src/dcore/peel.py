@@ -1,8 +1,11 @@
 """Centralized peeling: (k,l)-core extraction and the full decomposition.
 
 This is the sequential baseline and the ground truth the distributed
-algorithms are verified against.  All routines work on owned degree arrays;
-the input graph is never mutated.
+algorithms are verified against.  One bucket peel, _peel, serves every
+routine here: by in-degree for kmax, by out-degree for lmax, and by
+out-degree under an in-degree floor k for column k of the anchored table
+and for dcore.  It works on its own degree arrays; the input graph is never
+mutated.
 """
 
 from __future__ import annotations
@@ -41,128 +44,79 @@ def dcore(g: DirectedGraph, k: int, l: int) -> set[int]:
     """Vertex set of the (k, l)-core: the unique maximal subgraph in which
     every vertex keeps in-degree >= k and out-degree >= l.
 
-    Computed by cascading deletion of violating vertices until fixpoint.
+    The part of the (k, 0)-core whose l_max(v, k) is at least l, both read
+    off the one bucket peel.
     """
     if k < 0 or l < 0:
         raise ValueError("k and l must be non-negative")
-    indeg = [g.in_degree(v) for v in range(g.n)]
-    outdeg = [g.out_degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    stack = [v for v in range(g.n) if indeg[v] < k or outdeg[v] < l]
-    for v in stack:
-        alive[v] = False
-    while stack:
-        v = stack.pop()
-        for w in g.out_adj[v]:
-            if alive[w]:
-                indeg[w] -= 1
-                if indeg[w] < k:
-                    alive[w] = False
-                    stack.append(w)
-        for w in g.in_adj[v]:
-            if alive[w]:
-                outdeg[w] -= 1
-                if outdeg[w] < l:
-                    alive[w] = False
-                    stack.append(w)
-    return {v for v in range(g.n) if alive[v]}
+    members = [v for v, kmax in enumerate(in_core_numbers(g)) if kmax >= k]
+    lmax = _peel(g.in_adj, g.out_adj, members, k)
+    return {v for v in members if lmax[v] >= l}
 
 
 def in_core_numbers(g: DirectedGraph) -> list[int]:
     """kmax(v): the largest k with v in the (k, 0)-core, via bucket peeling."""
-    return _directional_core_numbers(g, use_in=True)
+    return _peel(g.out_adj, g.in_adj, range(g.n), 0)
 
 
 def out_core_numbers(g: DirectedGraph) -> list[int]:
     """lmax(v): the largest l with v in the (0, l)-core."""
-    return _directional_core_numbers(g, use_in=False)
-
-
-def _directional_core_numbers(g: DirectedGraph, use_in: bool) -> list[int]:
-    # Classic O(n + m) min-degree peeling on one degree direction only.
-    # Removing v lowers the constrained degree of the vertices that count v.
-    if use_in:
-        deg = [g.in_degree(v) for v in range(g.n)]
-        fanout = g.out_adj
-    else:
-        deg = [g.out_degree(v) for v in range(g.n)]
-        fanout = g.in_adj
-    n = g.n
-    if n == 0:
-        return []
-    maxdeg = max(deg)
-    buckets: list[list[int]] = [[] for _ in range(maxdeg + 1)]
-    for v in range(n):
-        buckets[deg[v]].append(v)
-    core = [0] * n
-    removed = [False] * n
-    cur = 0
-    for d in range(maxdeg + 1):
-        bucket = buckets[d]
-        i = 0
-        while i < len(bucket):
-            v = bucket[i]
-            i += 1
-            if removed[v] or deg[v] > d:
-                continue
-            cur = max(cur, deg[v])
-            core[v] = cur
-            removed[v] = True
-            for w in fanout[v]:
-                if not removed[w] and deg[w] > deg[v]:
-                    deg[w] -= 1
-                    if deg[w] <= d:
-                        bucket.append(w)
-                    else:
-                        buckets[deg[w]].append(w)
-    return core
+    return _peel(g.in_adj, g.out_adj, range(g.n), 0)
 
 
 def peel_decompose(g: DirectedGraph) -> AnchoredTable:
-    """Full anchored decomposition by out-degree peeling inside each (k, 0)-core.
+    """Full anchored decomposition: one bucket peel inside each (k, 0)-core.
 
-    For each feasible k the working set starts as the (k, 0)-core and is
-    peeled toward increasing l; every vertex removed while tightening to the
-    (k, l)-core records l_max(v, k) = l - 1.  Vertices tied at the minimum
-    out-degree fall in the same batch, so the result is order-independent.
+    Column k of the table is _peel over the (k, 0)-core with in-degree
+    floor k, for every k up to the largest kmax.
     """
     kmaxes = in_core_numbers(g)
     rows: list[list[int]] = [[] for _ in range(g.n)]
     top_k = max(kmaxes, default=0)
     for k in range(top_k + 1):
         members = [v for v in range(g.n) if kmaxes[v] >= k]
-        lmax = _lmax_column(g, members, k)
+        lmax = _peel(g.in_adj, g.out_adj, members, k)
         for v in members:
             rows[v].append(lmax[v])
     return AnchoredTable(rows)
 
 
-def _lmax_column(g: DirectedGraph, members: list[int], k: int) -> dict[int, int]:
-    alive = set(members)
-    indeg = {v: sum(1 for u in g.in_adj[v] if u in alive) for v in members}
-    outdeg = {v: sum(1 for u in g.out_adj[v] if u in alive) for v in members}
-    lmax: dict[int, int] = {}
-    l = 0
-    while alive:
-        l += 1
-        stack = [v for v in alive if outdeg[v] < l]
-        for v in stack:
-            alive.discard(v)
-        while stack:
-            v = stack.pop()
-            lmax[v] = l - 1
-            for w in g.out_adj[v]:
-                if w in alive:
-                    indeg[w] -= 1
-                    if indeg[w] < k:
-                        alive.discard(w)
-                        stack.append(w)
-            for w in g.in_adj[v]:
-                if w in alive:
+def _peel(ins: list[list[int]], outs: list[list[int]], members, k: int) -> list[int]:
+    """l_max(v, k) for each v in members, which must form a (k, 0)-core.
+
+    The O(n + m) bucket peel of Batagelj and Zaversnik (2003) on out-degree
+    (the length of outs[v] inside the survivors), under an in-degree floor
+    k.  Level d removes every survivor outside the (k, d + 1)-core: removing
+    v lowers its in-neighbours' out-degrees, never below d, and its
+    out-neighbours' in-degrees; a vertex whose in-degree falls below k is
+    capped at d and joins the current bucket.  Swapping ins and outs peels
+    by in-degree.  Entries for non-members are 0.
+    """
+    alive = [False] * len(ins)
+    for v in members:
+        alive[v] = True
+    indeg = [sum(map(alive.__getitem__, a)) for a in ins]
+    outdeg = [sum(map(alive.__getitem__, a)) for a in outs]
+    buckets: list[list[int]] = [[] for _ in range(max(outdeg, default=0) + 1)]
+    for v in members:
+        buckets[outdeg[v]].append(v)
+    lmax = [0] * len(ins)
+    for d, bucket in enumerate(buckets):
+        for v in bucket:  # grows while it is walked
+            if not alive[v]:
+                continue
+            alive[v] = False
+            lmax[v] = d
+            for w in ins[v]:
+                if alive[w] and outdeg[w] > d:
                     outdeg[w] -= 1
-                    if outdeg[w] < l:
-                        alive.discard(w)
-                        stack.append(w)
+                    buckets[outdeg[w]].append(w)
+            for w in outs[v]:
+                if alive[w]:
+                    indeg[w] -= 1
+                    if indeg[w] < k and outdeg[w] > d:
+                        outdeg[w] = d
+                        bucket.append(w)
     return lmax
 
 

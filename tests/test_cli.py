@@ -194,6 +194,7 @@ def test_bench_table_and_repeat_determinism(ref8_file, capsys):
     rc = main([
         "bench", str(ref8_file), "--algos", "peel,anchored,skyline",
         "--modes", "vertex,block", "--blocks", "1,2", "--repeat", "3",
+        "--partitioner", "seg",
     ])
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
@@ -201,6 +202,9 @@ def test_bench_table_and_repeat_determinism(ref8_file, capsys):
     assert header.split()[:4] == ["algo", "mode", "blocks", "part"]
     # peel row + (anchored, skyline) x (vertex, block) x (1, 2) blocks
     assert len(rows) == 1 + 8
+    # peel takes no partition, so its mode, blocks and part columns are all "-"
+    assert rows[0].split()[:4] == ["peel", "-", "-", "-"]
+    assert all(r.split()[3] == "seg" for r in rows[1:])
     anchored_vertex = [r for r in rows if r.startswith("anchored") and " vertex" in r]
     # vertex-mode rows are identical apart from block count and wall time
     cols = [r.split() for r in anchored_vertex]

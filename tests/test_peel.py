@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from dcore.graph import build_graph, generate_random_digraph
 from dcore.peel import (
@@ -22,6 +23,7 @@ from conftest import (
     REF8_LMAX,
     REF8_OUTDEG,
     REF8_SKYLINE,
+    drawn_graphs,
 )
 
 
@@ -121,6 +123,12 @@ def test_ref7_reconstruction_is_faithful(ref7):
         assert skys[label - 1] == want, label
 
 
+@settings(max_examples=40, deadline=None)
+@given(g=drawn_graphs)
+def test_table_equals_naive_on_drawn_graphs(g):
+    assert peel_decompose(g).rows == naive_anchored_rows(g)
+
+
 def test_peel_on_arcless_graph():
     table = peel_decompose(build_graph(3, []))
     assert table.rows == [[0], [0], [0]]
@@ -154,8 +162,9 @@ def test_anchored_rows_non_increasing():
 
 
 def test_directional_core_numbers_match_membership():
-    for seed in range(4):
-        g = generate_random_digraph(40, 0.12, seed=seed + 50)
+    graphs = [build_graph(0, [])]
+    graphs += [generate_random_digraph(40, 0.12, seed=seed + 50) for seed in range(4)]
+    for g in graphs:
         naive_k = [0] * g.n
         naive_l = [0] * g.n
         k = 1
