@@ -18,20 +18,13 @@ from .graph import (
     PartitionMap,
     generate_random_digraph,
     hash_partition,
-    induced_subgraph,
     make_partition,
     parse_edge_list,
     parse_edge_list_report,
     segment_partition,
     write_edge_list,
 )
-from .kernels import (
-    d_index,
-    d_index_over_sets,
-    dominates_strict,
-    dominates_weak,
-    h_index,
-)
+from .kernels import d_index, d_index_over_sets, h_index
 from .peel import (
     AnchoredTable,
     anchored_to_skyline,
@@ -57,13 +50,10 @@ __all__ = [
     "d_index",
     "d_index_over_sets",
     "dcore",
-    "dominates_strict",
-    "dominates_weak",
     "generate_random_digraph",
     "h_index",
     "hash_partition",
     "in_core_numbers",
-    "induced_subgraph",
     "make_partition",
     "out_core_numbers",
     "parse_edge_list",

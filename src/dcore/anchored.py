@@ -18,8 +18,8 @@ That is the counting computeIndex of Montresor, De Pellegrini and
 Miorandi (TPDS 2013).  A delta whose new value is at or above the
 receiver's value would move a count from the top bucket back into it, so
 the receiver skips it; in phase II a whole payload is skipped when lo is
-at or above top, the largest of the receiver's slots.  A value can only
-drop when its top bucket falls short of it; it then walks down the
+at or above the receiver's slot 0, the largest of its slots.  A value can
+only drop when its top bucket falls short of it; it then walks down the
 buckets to the new H-index, folding the ones it passes into the new top.
 So every decision to lower a value, and with it every emitted value,
 superstep and message, is the one a full rescan would make.  Deltas rely
@@ -130,7 +130,7 @@ class HIndexFixpoint(VertexProgram):
 
 
 class _LuppState:
-    __slots__ = ("arr", "top", "stride", "hist", "flags")
+    __slots__ = ("arr", "stride", "hist", "flags")
 
 
 class LuppProgram(VertexProgram):
@@ -147,9 +147,11 @@ class LuppProgram(VertexProgram):
     triples of the slots that dropped, headed by lo, the smallest new among
     them.  hist holds one clipped histogram per slot, as in HIndexFixpoint,
     of the out-neighbors' values there; slot k's starts at k * stride, with
-    stride = out-degree + 1.  top = max(arr).  A receiver with lo >= top
-    returns at once: every triple then has old > new >= top >= arr[k], so
-    it would only move a count from the top bucket of its slot back into it.
+    stride = out-degree + 1.  arr is always non-increasing in k, since
+    G[k + 1] is inside G[k] and each payload carries all of its sender's
+    drops, so arr[0] is the largest slot.  A receiver with lo >= arr[0]
+    returns at once: every triple then has old > new >= arr[k], so it would
+    only move a count from the top bucket of its slot back into it.
 
     The init message is (-1, (out-degree, width)), width = kmax + 1.  At
     init every slot of the receiver holds its own out-degree, so the sender
@@ -170,7 +172,6 @@ class LuppProgram(VertexProgram):
         width = self.kmaxes[v] + 1
         deg = g.out_degree(v)
         st.arr = [deg] * width
-        st.top = deg
         st.stride = deg + 1
         st.hist = [0] * (width * st.stride)
         st.flags = (1 << width) - 1
@@ -179,17 +180,17 @@ class LuppProgram(VertexProgram):
     def on_broadcast(self, targets, sender, payload):
         lo, body = payload
         if lo < 0:
-            # init: every slot of a target still holds its out-degree, top
+            # init: every slot of a target still holds its out-degree
             deg, width = body
             for st in targets:
-                top, stride = st.top, st.stride
+                top, stride = st.arr[0], st.stride
                 end = min(width, len(st.arr)) * stride
                 hist = st.hist
                 for i in range(deg if deg < top else top, end, stride):
                     hist[i] += 1
             return
         for st in targets:
-            if lo >= st.top:
+            if lo >= st.arr[0]:
                 continue
             arr, hist, stride = st.arr, st.hist, st.stride
             width = len(arr)
@@ -217,7 +218,7 @@ class LuppProgram(VertexProgram):
         st.flags = 0
         arr, hist, stride = st.arr, st.hist, st.stride
         changed = []
-        lo = st.top
+        lo = arr[0]
         while flags:
             low = flags & -flags
             flags ^= low
@@ -230,7 +231,6 @@ class LuppProgram(VertexProgram):
                 if h < lo:
                     lo = h
         if changed:
-            st.top = max(arr)
             return (lo, tuple(changed))
         return None
 

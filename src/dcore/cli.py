@@ -2,8 +2,8 @@
 
 Result files are line oriented (`label: (k0,l0) (k1,l1) ...`, sorted by
 label) and depend only on the input and the algorithm family, never on the
-execution mode, block count, partitioner or worker count.  Exit status 0
-means success, 1 a failed verification, 2 a usage, I/O or parse error.
+execution mode, block count or partitioner.  Exit status 0 means success,
+1 a failed verification, 2 a usage, I/O or parse error.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .skyline import skyline_table
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-
-WORKERS_HELP = "accepted for compatibility and ignored: the simulator is single-threaded"
 
 
 class CliError(Exception):
@@ -76,7 +74,7 @@ def _write_results(path: str, g: DirectedGraph, per_vertex_pairs) -> None:
 
 def _table_pairs(table) -> list:
     """Per-vertex anchored pair lists read off an AnchoredTable."""
-    return [table.pairs(v) for v in range(table.n)]
+    return [list(enumerate(row)) for row in table.rows]
 
 
 def _run_peel(g, parts, mode):
@@ -249,7 +247,6 @@ def _add_distributed_flags(p: argparse.ArgumentParser, with_out: bool) -> None:
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--blocks", default=None)
     p.add_argument("--partitioner", choices=PARTITIONERS, default=None)
-    p.add_argument("--workers", default="1", help=WORKERS_HELP)
     if with_out:
         p.add_argument("--out", required=True, help="result file path")
 
@@ -276,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", default="1")
     p.add_argument("--partitioner", choices=PARTITIONERS, default="hash")
     p.add_argument("--repeat", default="1")
-    p.add_argument("--workers", default="1", help=WORKERS_HELP)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="write a seeded random digraph as an edge list")
@@ -291,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "workers"):
-            _positive_int(args.workers, "--workers")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -147,8 +147,10 @@ def run_program(
     cross-block messages; messages_per_step counts the initial broadcast
     plus cross-block traffic and intra_messages the deliveries kept inside
     a block after init.  Both modes give the same results.  `workers` is
-    ignored.  `observer(step, states)` is called after init as step 1 and
-    then after every superstep.
+    accepted and ignored, since the simulator runs in one thread; it stays
+    only because benchmarks/run.py passes workers=1, and goes when that
+    call stops passing it.  `observer(step, states)` is called after init
+    as step 1 and then after every superstep.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")

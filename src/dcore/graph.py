@@ -37,10 +37,6 @@ class DirectedGraph:
     out_adj: list[list[int]]
     labels: list[int]
 
-    @property
-    def id_map(self) -> dict[int, int]:
-        return {lab: v for v, lab in enumerate(self.labels)}
-
     @cached_property
     def both_adj(self) -> list[list[int]]:
         """Ascending in- and out-neighbors of every vertex, built on first use."""
@@ -198,12 +194,6 @@ class PartitionMap:
     n_blocks: int
     block_of: list[int]
 
-    def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n_blocks)]
-        for v, b in enumerate(self.block_of):
-            out[b].append(v)
-        return out
-
 
 def hash_partition(g: DirectedGraph, n_blocks: int) -> PartitionMap:
     """Block i gets the vertices with v_id % n_blocks == i."""
@@ -231,26 +221,6 @@ def make_partition(name: str, g: DirectedGraph, n_blocks: int) -> PartitionMap:
     except KeyError:
         raise ValueError(f"unknown partitioner {name!r}") from None
     return fn(g, n_blocks)
-
-
-def induced_subgraph(g: DirectedGraph, keep) -> DirectedGraph:
-    """Subgraph on `keep` (dense IDs), containing arcs with both ends kept.
-
-    The subgraph's labels are inherited from g, so results can be mapped
-    back to the parent graph's vertices.
-    """
-    kept = sorted(set(keep))
-    for v in kept:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
-    remap = {old: new for new, old in enumerate(kept)}
-    arcs = [
-        (remap[u], remap[v])
-        for u in kept
-        for v in g.out_adj[u]
-        if v in remap
-    ]
-    return build_graph(len(kept), arcs, [g.labels[v] for v in kept])
 
 
 def generate_random_digraph(n: int, p: float, seed: int) -> DirectedGraph:

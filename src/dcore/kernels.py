@@ -1,4 +1,4 @@
-"""The paper's H-index, D-index and dominance operators, in plain form.
+"""The paper's H-index and D-index operators, in plain form.
 
 No algorithm calls them: the distributed programs fold deltas into clipped
 support histograms instead.  They are kept as the references the tests
@@ -28,16 +28,6 @@ def h_index(values) -> int:
         else:
             break
     return h
-
-
-def dominates_weak(a: Pair, b: Pair) -> bool:
-    """b <= a componentwise (b is weakly dominated by a)."""
-    return b[0] <= a[0] and b[1] <= a[1]
-
-
-def dominates_strict(a: Pair, b: Pair) -> bool:
-    """Weak dominance with a != b; (k, l) never strictly dominates itself."""
-    return b[0] <= a[0] and b[1] <= a[1] and a != b
 
 
 def is_canonical_skyline(pairs) -> bool:
@@ -71,21 +61,16 @@ def max_l_at(skyline: list[Pair], k: int) -> int:
     return skyline[i][1]
 
 
-def d_index_over_sets(in_sets, out_sets, in_max_k=None, out_max_l=None) -> list[Pair]:
+def d_index_over_sets(in_sets, out_sets) -> list[Pair]:
     """D-index where each neighbor contributes a whole skyline set.
 
     A neighbor supports a candidate (k, l) when any of its pairs weakly
     dominates (k, l); each neighbor counts once.  Equivalent to taking every
     combination of one pair per neighbor, computing d_index per combination
-    and skyline-reducing the union, but runs in one pass.  Callers that keep
-    per-neighbor maxima cached can pass them to skip rescanning the sets.
+    and skyline-reducing the union, but runs in one pass.
     """
-    if in_max_k is None:
-        in_max_k = [s[-1][0] for s in in_sets if s]
-    if out_max_l is None:
-        out_max_l = [s[0][1] for s in out_sets if s]
-    k_bound = h_index(in_max_k)
-    l_bound = h_index(out_max_l)
+    k_bound = h_index([s[-1][0] for s in in_sets if s])
+    l_bound = h_index([s[0][1] for s in out_sets if s])
     found: list[Pair] = []
     l_min = 0
     for k in range(k_bound, -1, -1):

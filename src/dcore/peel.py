@@ -26,19 +26,6 @@ class AnchoredTable:
 
     rows: list[list[int]]
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def kmax(self, v: int) -> int:
-        return len(self.rows[v]) - 1
-
-    def lmax(self, v: int, k: int) -> int:
-        return self.rows[v][k]
-
-    def pairs(self, v: int) -> list[Pair]:
-        return [(k, l) for k, l in enumerate(self.rows[v])]
-
 
 def dcore(g: DirectedGraph, k: int, l: int) -> set[int]:
     """Vertex set of the (k, l)-core: the unique maximal subgraph in which

@@ -169,15 +169,15 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
 
 
 class _SkyState:
-    __slots__ = ("d", "nbr", "max_k", "max_l", "flag")
+    __slots__ = ("d", "nbr", "flag")
 
 
 class NaiveSkylineProgram(VertexProgram):
     """Skyline program that reruns the D-index over every neighbor's whole set.
 
-    Each vertex caches the latest set and maxima of every neighbor and, when
-    any message arrived, recomputes d_index_over_sets from scratch.  The
-    payload is the bare canonical set.
+    Each vertex caches the latest set of every neighbor and, when any
+    message arrived, recomputes d_index_over_sets from scratch.  The payload
+    is the bare canonical set.
     """
 
     broadcast = "both"
@@ -189,15 +189,11 @@ class NaiveSkylineProgram(VertexProgram):
         st = _SkyState()
         st.d = (self.init_pairs[v],)
         st.nbr = {}
-        st.max_k = {}
-        st.max_l = {}
         st.flag = True
         return st, st.d
 
     def on_message(self, st, sender, payload):
         st.nbr[sender] = payload
-        st.max_k[sender] = payload[-1][0]
-        st.max_l[sender] = payload[0][1]
         st.flag = True
 
     def after_messages(self, st, v, g):
@@ -205,14 +201,8 @@ class NaiveSkylineProgram(VertexProgram):
             return None
         st.flag = False
         nbr = st.nbr
-        in_adj, out_adj = g.in_adj[v], g.out_adj[v]
         new = tuple(
-            d_index_over_sets(
-                [nbr[u] for u in in_adj],
-                [nbr[u] for u in out_adj],
-                in_max_k=[st.max_k[u] for u in in_adj],
-                out_max_l=[st.max_l[u] for u in out_adj],
-            )
+            d_index_over_sets([nbr[u] for u in g.in_adj[v]], [nbr[u] for u in g.out_adj[v]])
         )
         if new != st.d:
             st.d = new

@@ -267,7 +267,7 @@ def require_dataset(key: str) -> str:
     if text is None:
         name, url = SNAP_FILES[key]
         pytest.skip(
-            f"dataset {name} not found under data/ or $DCORE_DATA and "
-            f"{url} is unreachable from this host"
+            f"dataset {name} not found under data/ or $DCORE_DATA; the suite "
+            f"never downloads, so place a copy of {url} there"
         )
     return text

@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL line
 for every criterion.  Criteria 5 and 6 need the SNAP Wiki-vote and
-Email-EuAll edge lists; they look under data/ (or $DCORE_DATA), try to
-download once, and otherwise skip with an explicit message.
+Email-EuAll edge lists; they read a local copy under data/ (or
+$DCORE_DATA) and otherwise skip with an explicit message.  The suite never
+downloads anything.
 """
 
 import random

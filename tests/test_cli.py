@@ -49,17 +49,17 @@ def test_decompose_peel_and_anchored_byte_identical(ref8_file, tmp_path):
 
 def test_result_files_stable_across_modes_blocks_partitioners(ref8_file, tmp_path):
     blobs = set()
-    for mode, blocks, part, workers in [
-        ("vertex", 1, "hash", 1),
-        ("block", 2, "hash", 1),
-        ("block", 4, "seg", 1),
-        ("vertex", 3, "seg", 4),
+    for mode, blocks, part in [
+        ("vertex", 1, "hash"),
+        ("block", 2, "hash"),
+        ("block", 4, "seg"),
+        ("vertex", 3, "seg"),
     ]:
-        out = tmp_path / f"r-{mode}-{blocks}-{part}-{workers}.txt"
+        out = tmp_path / f"r-{mode}-{blocks}-{part}.txt"
         rc = main([
             "decompose", str(ref8_file), "--algo", "skyline",
             "--mode", mode, "--blocks", str(blocks), "--partitioner", part,
-            "--workers", str(workers), "--out", str(out),
+            "--out", str(out),
         ])
         assert rc == 0
         blobs.add(out.read_bytes())
@@ -148,7 +148,7 @@ def test_verify_detects_injected_corruption(ref8_file, capsys, monkeypatch):
     def corrupted(g, parts, mode):
         table, phases = run(g, parts, mode)
         oracle = to_pairs(table)
-        row = table.rows[g.id_map[8]]
+        row = table.rows[g.labels.index(8)]
         assert row == [1, 1, 0]
         row[0] = 0
         assert to_pairs(table) == oracle
@@ -262,13 +262,8 @@ def test_superstep_limit_is_reported_not_raised(
 @pytest.mark.parametrize(
     "command, flag, value",
     [
-        pytest.param("decompose", "--workers", "0", id="decompose"),
-        pytest.param("verify", "--workers", "0", id="verify"),
-        pytest.param("bench", "--workers", "0", id="bench"),
         pytest.param("decompose", "--blocks", "0", id="decompose-blocks-0"),
         pytest.param("decompose", "--blocks", "abc", id="decompose-blocks-abc"),
-        pytest.param("decompose", "--workers", "abc", id="decompose-workers-abc"),
-        pytest.param("bench", "--workers", "abc", id="bench-workers-abc"),
         pytest.param("bench", "--repeat", "abc", id="bench-repeat-abc"),
     ],
 )
