@@ -125,6 +125,17 @@ def test_decompose_unwritable_out_is_a_usage_error(ref8_file, tmp_path, capsys):
     _one_line_error(capsys, "cannot write", str(out) + ".report")
 
 
+def test_cleaned_input_is_reported_on_stderr(tmp_path, capsys):
+    src = tmp_path / "dirty.txt"
+    src.write_text("1 1\n1 2\n2 2\n1 2\n2 1\n2 1\n", encoding="utf-8")
+    out = tmp_path / "x.txt"
+    assert main(["decompose", str(src), "--algo", "peel", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err == "# cleaned input: dropped 2 self-loops, 2 duplicate arcs\n"
+    # one arc each way is left, so no vertex reaches k = 2
+    assert out.read_text() == "1: (0,1) (1,1)\n2: (0,1) (1,1)\n"
+
+
 def test_verify_passes_on_fixture(ref8_file, capsys):
     assert main(["verify", str(ref8_file), "--algo", "skyline"]) == 0
     assert main([
@@ -190,6 +201,13 @@ def test_gen_rejects_negative_n(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "g.txt"
+    assert main(["gen", "--n", "4", "--p", "0.5", "--out", str(out)]) == 2
+    _one_line_error(capsys, "cannot write", str(out))
+    assert not out.parent.exists()
+
+
 def test_bench_table_and_repeat_determinism(ref8_file, capsys):
     rc = main([
         "bench", str(ref8_file), "--algos", "peel,anchored,skyline",
@@ -224,6 +242,11 @@ def test_bench_vertex_mode_messages_constant_across_blocks(ref8_file, capsys):
 
 def test_bench_rejects_unknown_algo(ref8_file, capsys):
     assert main(["bench", str(ref8_file), "--algos", "wat"]) == 2
+
+
+def test_bench_rejects_empty_algo_list(ref8_file, capsys):
+    assert main(["bench", str(ref8_file), "--algos", ","]) == 2
+    _one_line_error(capsys, "error: empty algo list")
 
 
 def _one_line_error(capsys, *needles):
@@ -264,10 +287,12 @@ def test_superstep_limit_is_reported_not_raised(
     [
         pytest.param("decompose", "--blocks", "0", id="decompose-blocks-0"),
         pytest.param("decompose", "--blocks", "abc", id="decompose-blocks-abc"),
+        pytest.param("verify", "--blocks", "0", id="verify-blocks-0"),
+        pytest.param("bench", "--blocks", "0", id="bench-blocks-0"),
         pytest.param("bench", "--repeat", "abc", id="bench-repeat-abc"),
     ],
 )
-def test_zero_workers_rejected(command, flag, value, ref8_file, tmp_path, capsys):
+def test_bad_blocks_and_repeat_values_rejected(command, flag, value, ref8_file, tmp_path, capsys):
     argv = [command, str(ref8_file), flag, value]
     if command != "bench":
         argv += ["--algo", "anchored"]

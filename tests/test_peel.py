@@ -5,8 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import dcore.peel as peel_module
 from dcore.graph import build_graph, generate_random_digraph
 from dcore.peel import (
+    _peel,
     anchored_to_skyline,
     dcore,
     in_core_numbers,
@@ -23,7 +25,9 @@ from conftest import (
     REF8_LMAX,
     REF8_OUTDEG,
     REF8_SKYLINE,
+    GRAPH_SOURCES,
     drawn_graphs,
+    graph_from,
 )
 
 
@@ -46,6 +50,35 @@ def test_dcore_matches_naive_on_grid_of_random_graphs():
         for k in range(4):
             for l in range(4):
                 assert dcore(g, k, l) == naive_dcore(g, k, l), (seed, k, l)
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_peel_is_minus_one_exactly_off_the_k0_core(source, request):
+    g = graph_from(source, request)
+    rows = naive_anchored_rows(g)
+    top = max(len(row) for row in rows) - 1
+    for k in range(top + 2):
+        core = naive_dcore(g, k, 0)
+        want = [rows[v][k] if v in core else -1 for v in range(g.n)]
+        assert _peel(g.in_adj, g.out_adj, k) == want, k
+
+
+def test_dcore_is_one_peel(ref8, monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(peel_module, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(peel_module, name, wrapped)
+
+    spy("_peel")
+    spy("in_core_numbers")
+    assert sorted(ref8.labels[v] for v in dcore(ref8, 2, 2)) == [1, 4, 5, 6]
+    assert calls == ["_peel"]
 
 
 def test_dcore_rejects_negative_bounds(ref8):
