@@ -11,6 +11,7 @@ from .engine import (
     SuperstepLimitError,
     VertexProgram,
     run_program,
+    run_programs,
 )
 from .graph import (
     DirectedGraph,
@@ -61,6 +62,7 @@ __all__ = [
     "peel_decompose",
     "refine",
     "run_program",
+    "run_programs",
     "segment_partition",
     "skyline_decompose",
     "skyline_table",

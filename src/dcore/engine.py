@@ -4,8 +4,16 @@ A vertex program supplies four hooks: init, on_broadcast, after_messages
 and extract.  Vertex-centric mode runs one update round per superstep and
 holds every message for the next one.  Block-centric mode iterates each
 block's rounds to a local fixpoint per superstep and holds only
-cross-block messages.  A run ends after the first superstep that delivers
-no message.
+cross-block messages.  Blocks share nothing within a superstep, so all
+blocks take their local rounds together over one active set; a block
+stops after its first round that sends nothing, as if it ran alone.  A
+run ends after the first superstep that delivers no message.
+
+Each program's run is one _Run object.  run_programs advances several
+runs in shared supersteps, as a Pregel job may run vertex programs that
+do not depend on each other; each program's results are those of running
+it alone, and the one EngineMetrics sums their traffic.  run_program is
+run_programs with one program.
 
 The engine calls on_broadcast(targets, sender, payload) once per emitted
 payload, where targets iterates the recipients' states; in block mode the
@@ -128,8 +136,128 @@ def default_superstep_cap(g: DirectedGraph) -> int:
     return 10 * (g.max_degree() + 1) + 2 * g.n
 
 
-def run_program(
-    program: VertexProgram,
+class _NoLocalFixpoint(Exception):
+    """A block still sent in its last local round allowed; args[0] is the block."""
+
+
+class _Run:
+    """One program's run: its states, recipients, held messages and active set.
+
+    In block mode each vertex's recipients are split into those in its own
+    block (local_to, reached in the next local round) and the others
+    (held_to, reached in the next superstep).  One active set serves every
+    block: it holds the emitters of their last round and the receivers
+    since then.
+    """
+
+    def __init__(self, program: VertexProgram, g: DirectedGraph, block_of, cap: int):
+        self.program, self.g, self.block_of, self.cap = program, g, block_of, cap
+        self.recipients = recipients = _recipients(program, g)
+        if block_of is None:
+            self.held_to, self.local_to = recipients, None
+        else:
+            self.held_to, self.local_to = [], []
+            for v, rs in enumerate(recipients):
+                self.held_to.append([r for r in rs if block_of[r] != block_of[v]])
+                self.local_to.append([r for r in rs if block_of[r] == block_of[v]])
+        self.states = [None] * g.n
+        self.active: set[int] = set()
+        self.held: list[tuple[int, object, list[int]]] = []
+        self.intra = 0  # deliveries kept inside a block after init
+        self.delivering = False  # whether init or the last superstep delivered anything
+
+    def init(self) -> int:
+        """Run init at every vertex and hold its payloads; return their deliveries."""
+        init, g, recipients = self.program.init, self.g, self.recipients
+        states, active, held = self.states, self.active, self.held
+        for v in range(g.n):
+            states[v], payload = init(v, g)
+            if payload is not None:
+                active.add(v)
+                if recipients[v]:
+                    held.append((v, payload, recipients[v]))
+        count = sum(len(rs) for _, _, rs in held)
+        self.delivering = count > 0
+        return count
+
+    def _deliver(self, messages, active: set[int]) -> None:
+        """Hand each payload to its recipients and mark them active."""
+        on_broadcast, state_of = self.program.on_broadcast, self.states.__getitem__
+        for s, payload, rs in messages:
+            on_broadcast(map(state_of, rs), s, payload)
+            active.update(rs)
+
+    def superstep(self) -> int:
+        """Deliver the held payloads, then run the superstep's rounds.
+
+        Returns the number of deliveries held for the next superstep.
+        """
+        self._deliver(self.held, self.active)
+        self.held = []
+        intra = self.intra
+        if self.local_to is None:
+            self._round()
+        else:
+            self._local_rounds()
+        self.delivering = bool(self.held) or self.intra > intra
+        return sum(len(rs) for _, _, rs in self.held)
+
+    def _round(self) -> None:
+        """Vertex mode: run one round and hold every payload."""
+        states, g, after = self.states, self.g, self.program.after_messages
+        held_to, held = self.held_to, self.held
+        run, active = self.active, set()
+        for v in run:
+            payload = after(states[v], v, g)
+            if payload is not None:
+                active.add(v)
+                if held_to[v]:
+                    held.append((v, payload, held_to[v]))
+        self.active = active
+
+    def _local_rounds(self) -> None:
+        """Run the local rounds of every block together.
+
+        A block's rounds go on until one of them sends nothing, exactly as
+        if it ran alone: blocks share nothing within a superstep.  An
+        emitter without recipients whose block has stopped waits for the
+        next superstep.
+        """
+        states, g, after = self.states, self.g, self.program.after_messages
+        block_of, held_to, local_to, held = self.block_of, self.held_to, self.local_to, self.held
+        active, waiting = self.active, []
+        for _ in range(self.cap + 1):
+            run, active = active, set()
+            inbox, mute = [], []
+            first = len(held)
+            for v in run:
+                payload = after(states[v], v, g)
+                if payload is not None:
+                    active.add(v)
+                    if held_to[v]:
+                        held.append((v, payload, held_to[v]))
+                    if local_to[v]:
+                        inbox.append((v, payload, local_to[v]))
+                    elif not held_to[v]:
+                        mute.append(v)
+            if not inbox and len(held) == first:
+                break  # no block sent: active holds only mute emitters
+            if mute:
+                sending = {block_of[s] for s, _, _ in inbox + held[first:]}
+                for v in mute:
+                    if block_of[v] not in sending:
+                        active.remove(v)
+                        waiting.append(v)
+            self.intra += sum(len(rs) for _, _, rs in inbox)
+            self._deliver(inbox, active)
+        else:
+            raise _NoLocalFixpoint(min(block_of[s] for s, _, _ in inbox + held[first:]))
+        active.update(waiting)
+        self.active = active
+
+
+def run_programs(
+    programs,
     g: DirectedGraph,
     parts: PartitionMap | None = None,
     mode: str = "vertex",
@@ -139,7 +267,14 @@ def run_program(
     observer=None,
     phase: str = "",
 ):
-    """Run program on g to quiescence; return (per-vertex results, metrics).
+    """Run several programs on g in shared supersteps; return (results, metrics).
+
+    The programs share nothing, so each one's results are those of running
+    it alone; results holds one per-vertex result list per program.  The
+    one EngineMetrics sums their traffic: messages_per_step is the
+    step-wise sum of the programs' counts, each padded with zeros after its
+    run ends, and intra_messages the sum of theirs; so supersteps is the
+    longest run's.
 
     mode "vertex" runs one update round per superstep, holds every message
     for the next superstep and ignores parts: its results and metrics do
@@ -150,96 +285,68 @@ def run_program(
     accepted and ignored, since the simulator runs in one thread; it stays
     only because benchmarks/run.py passes workers=1, and goes when that
     call stops passing it.  `observer(step, states)` is called after init
-    as step 1 and then after every superstep.
+    as step 1 and then after every superstep, with one state list per
+    program.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "block" and parts is None:
         raise ValueError("block mode requires a partition")
-    if mode == "vertex":
-        parts = None
+    block_of = parts.block_of if mode == "block" else None
     cap = max_supersteps if max_supersteps is not None else default_superstep_cap(g)
-    init, on_broadcast, after = program.init, program.on_broadcast, program.after_messages
-    recipients = _recipients(program, g)
-    if parts is None:
-        block_of, n_blocks = [0] * g.n, 1
-        held_to, local_to = recipients, [()] * g.n
-    else:
-        block_of, n_blocks = parts.block_of, parts.n_blocks
-        held_to, local_to = [], []
-        for v, rs in enumerate(recipients):
-            held_to.append([r for r in rs if block_of[r] != block_of[v]])
-            local_to.append([r for r in rs if block_of[r] == block_of[v]])
-    states = [None] * g.n
-    state_of = states.__getitem__
-    # active[b]: block b's emitters of its last round plus receivers since then
-    active: list[set[int]] = [set() for _ in range(n_blocks)]
-
-    def deliver(messages: list[tuple[int, object, list[int]]], into: set[int] | None) -> None:
-        """Hand each payload to its recipients and mark them active.
-
-        into is the active set of the one block that holds every recipient,
-        or None when they may sit in several blocks.
-        """
-        for s, payload, rs in messages:
-            on_broadcast(map(state_of, rs), s, payload)
-            if into is None:
-                for r in rs:
-                    active[block_of[r]].add(r)
-            else:
-                into.update(rs)
+    runs = [_Run(program, g, block_of, cap) for program in programs]
+    states = [run.states for run in runs]
+    per_step = [sum(run.init() for run in runs)]
 
     def metrics_so_far() -> EngineMetrics:
-        return EngineMetrics(phase, list(per_step), intra_total)
+        return EngineMetrics(phase, list(per_step), sum(run.intra for run in runs))
 
-    held = []
-    for v in range(g.n):
-        states[v], payload = init(v, g)
-        if payload is not None:
-            active[block_of[v]].add(v)
-            if recipients[v]:
-                held.append((v, payload, recipients[v]))
-    delivered = sum(len(rs) for _, _, rs in held)
-    per_step = [delivered]
-    intra_total = 0
     if observer is not None:
         observer(1, states)
-    while delivered:
+    live = [run for run in runs if run.delivering]
+    while live:
         if len(per_step) >= cap:
             raise SuperstepLimitError(
                 f"no quiescence within {cap} supersteps (in {phase or '?'})",
                 metrics_so_far(),
             )
-        deliver(held, active[0] if parts is None else None)
-        held = []
-        delivered = 0
-        for b in range(n_blocks):
-            for _ in range(cap + 1):
-                run, active[b] = active[b], set()
-                inbox = []
-                sent = 0
-                for v in run:
-                    payload = after(states[v], v, g)
-                    if payload is not None:
-                        active[b].add(v)
-                        sent += len(recipients[v])
-                        if held_to[v]:
-                            held.append((v, payload, held_to[v]))
-                        if local_to[v]:
-                            inbox.append((v, payload, local_to[v]))
-                delivered += sent
-                if parts is None or not sent:
-                    break
-                intra_total += sum(len(rs) for _, _, rs in inbox)
-                deliver(inbox, active[b])
-            else:
-                raise SuperstepLimitError(
-                    f"block {b}: no local fixpoint within {cap} iterations "
-                    f"(in {phase or '?'})",
-                    metrics_so_far(),
-                )
-        per_step.append(sum(len(rs) for _, _, rs in held))
+        try:
+            per_step.append(sum(run.superstep() for run in live))
+        except _NoLocalFixpoint as stuck:
+            raise SuperstepLimitError(
+                f"block {stuck.args[0]}: no local fixpoint within {cap} iterations "
+                f"(in {phase or '?'})",
+                metrics_so_far(),
+            ) from None
+        live = [run for run in live if run.delivering]
         if observer is not None:
             observer(len(per_step), states)
-    results = [program.extract(states[v], v, g) for v in range(g.n)]
+    results = [
+        [run.program.extract(run.states[v], v, g) for v in range(g.n)] for run in runs
+    ]
     return results, metrics_so_far()
+
+
+def run_program(
+    program: VertexProgram,
+    g: DirectedGraph,
+    parts: PartitionMap | None = None,
+    mode: str = "vertex",
+    *,
+    observer=None,
+    **kwargs,
+):
+    """Run one program on g to quiescence; return (per-vertex results, metrics).
+
+    This is run_programs with one program (see there for the modes and
+    keywords), except that `observer(step, states)` gets the program's
+    state list itself.
+    """
+    if observer is not None:
+        observe = observer
+
+        def observer(step, states):
+            observe(step, states[0])
+
+    (results,), metrics = run_programs((program,), g, parts, mode, observer=observer, **kwargs)
+    return results, metrics

@@ -1,9 +1,11 @@
 """Distributed skyline-coreness decomposition via iterated D-indexes.
 
 Every vertex keeps an antichain of (k, l) pairs, initialized tightly to the
-single pair (K, L) = (kmax(v), lmax(v)) obtained from two H-index fixpoint
-runs, and then repeatedly replaced by the D-index of its neighbors' current
-sets until nothing changes anywhere.
+single pair (K, L) = (kmax(v), lmax(v)) obtained from two H-index fixpoints,
+and then repeatedly replaced by the D-index of its neighbors' current sets
+until nothing changes anywhere.  The kmax and lmax fixpoints share nothing,
+so they run in shared supersteps as one phase, "init", which takes as many
+supersteps as the longer of them; the iteration is the phase "d-index".
 
 A set S_u is described by its staircase heights f_u(k) = max{l' : (k', l')
 in S_u, k' >= k}, or -1 when no pair reaches k.  The D-index of v's
@@ -19,7 +21,7 @@ skyline_decompose reads each set off it with peel.anchored_to_skyline.
 from __future__ import annotations
 
 from .anchored import HIndexFixpoint, RowProgram
-from .engine import EngineMetrics, run_program
+from .engine import EngineMetrics, run_program, run_programs
 from .graph import DirectedGraph, PartitionMap
 from .kernels import Pair
 from .peel import AnchoredTable, anchored_to_skyline
@@ -36,16 +38,15 @@ def tight_init(
 ) -> tuple[list[Pair], list[EngineMetrics]]:
     """Per-vertex (kmax(v), lmax(v)) start pairs from two H-index fixpoints.
 
-    Each returned pair weakly dominates every skyline pair of its vertex,
-    so the D-index iteration can only descend from it.
+    The kmax and lmax fixpoints share nothing, so they run in shared
+    supersteps as the one phase "init".  Each returned pair weakly
+    dominates every skyline pair of its vertex, so the D-index iteration
+    can only descend from it.
     """
-    kmaxes, m_in = run_program(
-        HIndexFixpoint("in"), g, parts, mode, phase="init kmax", **kwargs
+    (kmaxes, lmaxes), metrics = run_programs(
+        (HIndexFixpoint("in"), HIndexFixpoint("out")), g, parts, mode, phase="init", **kwargs
     )
-    lmaxes, m_out = run_program(
-        HIndexFixpoint("out"), g, parts, mode, phase="init lmax", **kwargs
-    )
-    return list(zip(kmaxes, lmaxes)), [m_in, m_out]
+    return list(zip(kmaxes, lmaxes)), [metrics]
 
 
 def skyline_table(

@@ -9,11 +9,12 @@ from dcore.engine import (
     VertexProgram,
     default_superstep_cap,
     run_program,
+    run_programs,
 )
 from dcore.graph import build_graph, generate_random_digraph, hash_partition, make_partition
 
 from _naive import naive_schedule
-from conftest import REF8_KMAX, boxes
+from conftest import GRAPH_SOURCES, REF8_KMAX, boxes, graph_from
 
 
 class SilentProgram(VertexProgram):
@@ -317,3 +318,85 @@ def test_payloads_of_two_local_rounds_cross_blocks_in_order():
     assert snaps[1] == [(2, (2, 0))]
     assert snaps[2] == [(2, (2, 0)), (2, (2, 1)), (2, (2, 2))]
     _assert_each_payload_arrives_once_in_order(ring, logs)
+
+
+def _padded_sum(*per_steps):
+    """Step-wise sum of several runs' message counts, each padded with zeros."""
+    width = max(map(len, per_steps))
+    return [sum(xs[i] for xs in per_steps if i < len(xs)) for i in range(width)]
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_programs_in_shared_supersteps_equal_their_separate_runs(source, request):
+    g = graph_from(source, request)
+    for parts in (None, make_partition("hash", g, 3), make_partition("seg", g, 4)):
+        mode = "vertex" if parts is None else "block"
+        seen = []
+        (kmaxes, lmaxes), joint = run_programs(
+            (HIndexFixpoint("in"), HIndexFixpoint("out")),
+            g,
+            parts,
+            mode,
+            phase="init",
+            observer=lambda step, states: seen.append((step, len(states))),
+        )
+        alone_in = run_program(HIndexFixpoint("in"), g, parts, mode, phase="init")
+        alone_out = run_program(HIndexFixpoint("out"), g, parts, mode, phase="init")
+        assert alone_in == _reference(HIndexFixpoint("in"), g, parts, "init")
+        assert alone_out == _reference(HIndexFixpoint("out"), g, parts, "init")
+        (want_in, m_in), (want_out, m_out) = alone_in, alone_out
+        assert (kmaxes, lmaxes) == (want_in, want_out)
+        assert joint.phase == "init"
+        assert joint.messages_per_step == _padded_sum(
+            m_in.messages_per_step, m_out.messages_per_step
+        )
+        assert joint.intra_messages == m_in.intra_messages + m_out.intra_messages
+        assert joint.supersteps == max(m_in.supersteps, m_out.supersteps)
+        # the observer gets one state list per program after every superstep
+        assert seen == [(step, 2) for step in range(1, joint.supersteps + 1)]
+
+
+def test_runaway_program_beside_a_quiet_one_hits_cap(ref8):
+    _, quiet = run_program(HIndexFixpoint("in"), ref8)
+    with pytest.raises(SuperstepLimitError) as info:
+        run_programs((HIndexFixpoint("in"), ChattyProgram()), ref8, max_supersteps=7, phase="pair")
+    m = info.value.metrics
+    assert (m.phase, m.supersteps) == ("pair", 7)
+    # the partial metrics count both programs' messages
+    assert m.messages_per_step == _padded_sum(quiet.messages_per_step, [ref8.num_arcs] * 7)
+    parts = hash_partition(ref8, 2)
+    with pytest.raises(SuperstepLimitError, match=r"no local fixpoint .*\(in pair\)") as info:
+        run_programs(
+            (HIndexFixpoint("in"), ChattyProgram()), ref8, parts, "block",
+            max_supersteps=7, phase="pair",
+        )
+    assert info.value.metrics.messages_per_step == [2 * ref8.num_arcs]
+
+
+def _one_slow_block_graph():
+    """Four seg blocks of 16: a path in block 0, random arcs in blocks 1-2.
+
+    The path ripples one vertex per local round in either direction, so
+    block 0 needs about 16 local rounds per superstep where blocks 1 and 2
+    need a few.  Block 3 is isolated vertices: emitters without recipients,
+    whose block stops after its first round.
+    """
+    rand = generate_random_digraph(32, 0.12, seed=4)
+    arcs = [(i, i + 1) for i in range(15)]
+    arcs += [(16 + u, 16 + v) for u in range(32) for v in rand.out_adj[u]]
+    arcs += [(15, 16), (20, 15)]
+    return build_graph(64, arcs)
+
+
+def test_blocks_take_their_local_rounds_together():
+    g = _one_slow_block_graph()
+    parts = make_partition("seg", g, 4)
+    programs = _program_factories(g) | {"countdown": CountdownProgram}
+    for name, make in programs.items():
+        got = run_program(make(), g, parts, "block", phase=name)
+        assert got == _reference(make(), g, parts, name), name
+    _, metrics = run_program(HIndexFixpoint("in"), g, parts, "block")
+    assert metrics.intra_messages >= 15  # the whole path fell inside block 0
+    # The rounds cap is the superstep cap plus one; the path needs more.
+    with pytest.raises(SuperstepLimitError, match=r"block 0: .* 8 iterations \(in slow\)"):
+        run_program(HIndexFixpoint("in"), g, parts, "block", max_supersteps=8, phase="slow")

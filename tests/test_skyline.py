@@ -38,7 +38,7 @@ from conftest import (
 def test_tight_init_ref8(ref8):
     pairs, metrics = tight_init(ref8)
     assert pairs == REF8_TIGHT_INIT
-    assert len(metrics) == 2
+    assert [m.phase for m in metrics] == ["init"]
 
 
 @pytest.mark.parametrize("decompose", [anchored_decompose, skyline_decompose])
