@@ -97,22 +97,30 @@ def _is_distributed(algo: str) -> bool:
 def _run_algo(g, algo, mode, blocks, partitioner):
     """The AnchoredTable, per-phase engine metrics and wall time of one run.
 
-    blocks is None for peel, which takes no partition.
+    Only block mode takes a partition; blocks and partitioner are None
+    otherwise.
     """
     start = time.perf_counter()
-    parts = None if blocks is None else make_partition(partitioner, g, blocks)
+    parts = make_partition(partitioner, g, blocks) if mode == "block" else None
     table, phases = ALGOS[algo][0](g, parts, mode)
     return table, phases, time.perf_counter() - start
 
 
 def _check_distributed_flags(args) -> tuple[str | None, int | None, str | None]:
-    """(mode, blocks, partitioner) with defaults filled in; all None for peel."""
+    """(mode, blocks, partitioner) with defaults filled in.
+
+    All three are None for peel; blocks and partitioner are None in vertex
+    mode, which takes no partition, but --blocks is checked all the same.
+    """
     if not _is_distributed(args.algo):
         if args.mode or args.blocks or args.partitioner:
             raise CliError(f"--mode/--blocks/--partitioner do not apply to --algo {args.algo}")
         return None, None, None
     blocks = 1 if args.blocks is None else _positive_int(args.blocks, "--blocks")
-    return args.mode or "vertex", blocks, args.partitioner or "hash"
+    mode = args.mode or "vertex"
+    if mode != "block":
+        return mode, None, None
+    return mode, blocks, args.partitioner or "hash"
 
 
 def cmd_decompose(args) -> int:
@@ -170,13 +178,18 @@ def cmd_bench(args) -> int:
     modes = _parse_list(args.modes, MODES, "mode")
     blocks_list = [_positive_int(b, "--blocks") for b in args.blocks.split(",")]
     repeat = _positive_int(args.repeat, "--repeat")
+    # (mode, blocks, partitioner): only block mode takes a partition
+    configs = []
+    for mode in modes:
+        if mode == "block":
+            configs += [(mode, b, args.partitioner) for b in blocks_list]
+        else:
+            configs.append((mode, None, None))
     rows = []
     for algo in algos:
-        if _is_distributed(algo):
-            configs = [(mode, b, args.partitioner) for mode in modes for b in blocks_list]
-        else:
-            configs = [(None, None, None)]
-        for mode, blocks, partitioner in configs:
+        # peel takes no mode and no partition
+        algo_configs = configs if _is_distributed(algo) else [(None, None, None)]
+        for mode, blocks, partitioner in algo_configs:
             metrics_runs = []
             walls = []
             for _ in range(repeat):

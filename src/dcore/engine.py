@@ -1,12 +1,14 @@
 """Deterministic bulk-synchronous superstep simulator.
 
 A vertex program supplies four hooks: init, on_broadcast, after_messages
-and extract.  Vertex-centric mode runs one update round per superstep and
-holds every message for the next one.  Block-centric mode iterates each
-block's rounds to a local fixpoint per superstep and holds only
-cross-block messages.  Blocks share nothing within a superstep, so all
-blocks take their local rounds together over one active set; a block
-stops after its first round that sends nothing, as if it ran alone.  A
+and extract.  Block-centric mode runs each block's local rounds per
+superstep, delivering same-block messages between rounds and holding
+cross-block ones for the next superstep; a block's superstep ends after
+its first round that sends no message inside the block.  Blocks share
+nothing within a superstep, so all blocks take their local rounds
+together over one active set, each as if it ran alone.  Vertex-centric
+mode is the case in which no vertex has a recipient in its own block: each
+superstep is one round, and every message is held for the next one.  A
 run ends after the first superstep that delivers no message.
 
 Each program's run is one _Run object.  run_programs advances several
@@ -137,24 +139,25 @@ def default_superstep_cap(g: DirectedGraph) -> int:
 
 
 class _NoLocalFixpoint(Exception):
-    """A block still sent in its last local round allowed; args[0] is the block."""
+    """A block still sent inside itself in its last allowed round; args[0] is the block."""
 
 
 class _Run:
     """One program's run: its states, recipients, held messages and active set.
 
-    In block mode each vertex's recipients are split into those in its own
-    block (local_to, reached in the next local round) and the others
-    (held_to, reached in the next superstep).  One active set serves every
-    block: it holds the emitters of their last round and the receivers
-    since then.
+    Each vertex's recipients are split into those in its own block
+    (local_to, reached in the next local round) and the others (held_to,
+    reached in the next superstep).  Vertex mode is block mode with no
+    same-block recipients: local_to is empty everywhere.  One active set
+    serves every block: it holds the emitters of their last round and the
+    receivers since then.
     """
 
     def __init__(self, program: VertexProgram, g: DirectedGraph, block_of, cap: int):
         self.program, self.g, self.block_of, self.cap = program, g, block_of, cap
         self.recipients = recipients = _recipients(program, g)
         if block_of is None:
-            self.held_to, self.local_to = recipients, None
+            self.held_to, self.local_to = recipients, [()] * g.n
         else:
             self.held_to, self.local_to = [], []
             for v, rs in enumerate(recipients):
@@ -190,46 +193,20 @@ class _Run:
     def superstep(self) -> int:
         """Deliver the held payloads, then run the superstep's rounds.
 
-        Returns the number of deliveries held for the next superstep.
+        All blocks take their rounds together.  A block's superstep ends
+        after its first round that sends no message inside the block, as
+        if it ran alone: blocks share nothing within a superstep.  The
+        emitters of that round wait for the next superstep, and so does
+        every emitter in vertex mode, which runs one round.  Returns the
+        number of deliveries held for the next superstep.
         """
         self._deliver(self.held, self.active)
-        self.held = []
-        intra = self.intra
-        if self.local_to is None:
-            self._round()
-        else:
-            self._local_rounds()
-        self.delivering = bool(self.held) or self.intra > intra
-        return sum(len(rs) for _, _, rs in self.held)
-
-    def _round(self) -> None:
-        """Vertex mode: run one round and hold every payload."""
+        self.held = held = []
         states, g, after = self.states, self.g, self.program.after_messages
-        held_to, held = self.held_to, self.held
-        run, active = self.active, set()
-        for v in run:
-            payload = after(states[v], v, g)
-            if payload is not None:
-                active.add(v)
-                if held_to[v]:
-                    held.append((v, payload, held_to[v]))
-        self.active = active
-
-    def _local_rounds(self) -> None:
-        """Run the local rounds of every block together.
-
-        A block's rounds go on until one of them sends nothing, exactly as
-        if it ran alone: blocks share nothing within a superstep.  An
-        emitter without recipients whose block has stopped waits for the
-        next superstep.
-        """
-        states, g, after = self.states, self.g, self.program.after_messages
-        block_of, held_to, local_to, held = self.block_of, self.held_to, self.local_to, self.held
-        active, waiting = self.active, []
-        for _ in range(self.cap + 1):
-            run, active = active, set()
-            inbox, mute = [], []
-            first = len(held)
+        block_of, held_to, local_to = self.block_of, self.held_to, self.local_to
+        run, waiting, rounds = self.active, [], 0  # rounds that sent inside a block
+        while True:
+            active, inbox = set(), []
             for v in run:
                 payload = after(states[v], v, g)
                 if payload is not None:
@@ -238,22 +215,24 @@ class _Run:
                         held.append((v, payload, held_to[v]))
                     if local_to[v]:
                         inbox.append((v, payload, local_to[v]))
-                    elif not held_to[v]:
-                        mute.append(v)
-            if not inbox and len(held) == first:
-                break  # no block sent: active holds only mute emitters
-            if mute:
-                sending = {block_of[s] for s, _, _ in inbox + held[first:]}
-                for v in mute:
-                    if block_of[v] not in sending:
-                        active.remove(v)
-                        waiting.append(v)
+            if not inbox:
+                break
+            rounds += 1
+            if rounds > self.cap:
+                raise _NoLocalFixpoint(min(block_of[s] for s, _, _ in inbox))
+            # the emitters of blocks that sent nothing inside wait for the next superstep
+            sending = {block_of[s] for s, _, _ in inbox}
+            quiet = [v for v in active if block_of[v] not in sending]
+            active.difference_update(quiet)
+            waiting += quiet
             self.intra += sum(len(rs) for _, _, rs in inbox)
             self._deliver(inbox, active)
-        else:
-            raise _NoLocalFixpoint(min(block_of[s] for s, _, _ in inbox + held[first:]))
-        active.update(waiting)
+            run = active
+        if waiting:
+            active.update(waiting)
         self.active = active
+        self.delivering = bool(held) or rounds > 0
+        return sum(len(rs) for _, _, rs in held)
 
 
 def run_programs(
@@ -276,17 +255,18 @@ def run_programs(
     run ends, and intra_messages the sum of theirs; so supersteps is the
     longest run's.
 
-    mode "vertex" runs one update round per superstep, holds every message
-    for the next superstep and ignores parts: its results and metrics do
-    not depend on the partition.  mode "block" needs parts and holds only
-    cross-block messages; messages_per_step counts the initial broadcast
-    plus cross-block traffic and intra_messages the deliveries kept inside
-    a block after init.  Both modes give the same results.  `workers` is
-    accepted and ignored, since the simulator runs in one thread; it stays
-    only because benchmarks/run.py passes workers=1, and goes when that
-    call stops passing it.  `observer(step, states)` is called after init
-    as step 1 and then after every superstep, with one state list per
-    program.
+    mode "block" needs parts and holds only cross-block messages; a block's
+    superstep ends after its first round that sends nothing inside it.
+    messages_per_step counts the initial broadcast plus cross-block traffic
+    and intra_messages the deliveries kept inside a block after init.  mode
+    "vertex" ignores parts and treats every recipient as outside the
+    sender's block, so each superstep is one round and holds every message
+    for the next; its results and metrics do not depend on the partition.
+    Both modes give the same results.  `workers` is accepted and ignored,
+    since the simulator runs in one thread; it stays only because
+    benchmarks/run.py passes workers=1, and goes when that call stops
+    passing it.  `observer(step, states)` is called after init as step 1
+    and then after every superstep, with one state list per program.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")

@@ -111,12 +111,12 @@ def set_dominated_by(r2, r1):
 def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
     """Full-sweep superstep scheduler: every vertex runs in every round.
 
-    block_of=None is vertex mode: each superstep is one round in which
-    every vertex takes its messages and runs after_messages, and all
-    messages wait for the next superstep.  Otherwise each block sweeps all
-    of its members in rounds until a round sends nothing, delivering
-    same-block messages between rounds; cross-block messages wait for the
-    next superstep.  A run stops after a superstep that delivers nothing.
+    Each block sweeps all of its members in rounds, delivering same-block
+    messages between rounds, until a round sends no message inside the
+    block; cross-block messages wait for the next superstep.  block_of=None
+    is vertex mode: one block in which every message counts as crossing, so
+    each superstep is one round and all messages wait for the next one.
+    A run stops after a superstep that delivers nothing.
     Returns (results, supersteps, messages per superstep, intra messages).
     """
     n = g.n
@@ -161,7 +161,7 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
                             waiting.append((v, r, payload))
                     sent += len(targets[v])
                 delivered_last += sent
-                if block_of is None or sent == 0:
+                if not inbox:
                     break
         per_step.append(len(waiting))
     results = [program.extract(states[v], v, g) for v in range(n)]

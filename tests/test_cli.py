@@ -34,6 +34,8 @@ def test_decompose_skyline_ref8(ref8_file, tmp_path, capsys):
     assert lines[0] == "1: (2,2)"
     report = json.loads((tmp_path / "sky.txt.report").read_text())
     assert report["algorithm"] == "skyline"
+    # vertex mode, the default, takes no partition
+    assert (report["mode"], report["blocks"], report["partitioner"]) == ("vertex", None, None)
     assert [p["phase"] for p in report["phases"]] == ["init", "d-index"]
     assert report["supersteps_total"] == sum(p["supersteps"] for p in report["phases"])
 
@@ -63,6 +65,10 @@ def test_result_files_stable_across_modes_blocks_partitioners(ref8_file, tmp_pat
         ])
         assert rc == 0
         blobs.add(out.read_bytes())
+        # the report records the partition only where the engine used one
+        report = json.loads(Path(str(out) + ".report").read_text())
+        used = (blocks, part) if mode == "block" else (None, None)
+        assert (report["blocks"], report["partitioner"]) == used
     assert len(blobs) == 1
 
 
@@ -218,26 +224,29 @@ def test_bench_table_and_repeat_determinism(ref8_file, capsys):
     out = capsys.readouterr().out.splitlines()
     header, rows = out[0], out[1:]
     assert header.split()[:4] == ["algo", "mode", "blocks", "part"]
-    # peel row + (anchored, skyline) x (vertex, block) x (1, 2) blocks
-    assert len(rows) == 1 + 8
-    # peel takes no partition, so its mode, blocks and part columns are all "-"
-    assert rows[0].split()[:4] == ["peel", "-", "-", "-"]
-    assert all(r.split()[3] == "seg" for r in rows[1:])
-    anchored_vertex = [r for r in rows if r.startswith("anchored") and " vertex" in r]
-    # vertex-mode rows are identical apart from block count and wall time
-    cols = [r.split() for r in anchored_vertex]
-    assert len({(c[4], c[5], c[6]) for c in cols}) == 1
+    # peel row + (anchored, skyline) x (one vertex row + block rows for 1, 2)
+    assert len(rows) == 1 + 2 * (1 + 2)
+    # peel takes no partition, so its mode, blocks and part columns are all "-";
+    # neither does vertex mode, so its blocks and part columns are "-"
+    assert [r.split()[:4] for r in rows] == [
+        ["peel", "-", "-", "-"],
+        ["anchored", "vertex", "-", "-"],
+        ["anchored", "block", "1", "seg"],
+        ["anchored", "block", "2", "seg"],
+        ["skyline", "vertex", "-", "-"],
+        ["skyline", "block", "1", "seg"],
+        ["skyline", "block", "2", "seg"],
+    ]
 
 
-def test_bench_vertex_mode_messages_constant_across_blocks(ref8_file, capsys):
+def test_bench_vertex_mode_runs_once_whatever_the_blocks(ref8_file, capsys):
     rc = main([
         "bench", str(ref8_file), "--algos", "skyline", "--modes", "vertex",
         "--blocks", "1,2,4",
     ])
     assert rc == 0
     rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:]]
-    assert len(rows) == 3
-    assert len({r[6] for r in rows}) == 1  # message column constant
+    assert [r[:4] for r in rows] == [["skyline", "vertex", "-", "-"]]
 
 
 def test_bench_rejects_unknown_algo(ref8_file, capsys):

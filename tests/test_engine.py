@@ -2,7 +2,7 @@
 
 import pytest
 
-from dcore.anchored import HIndexFixpoint, LuppProgram, RowProgram
+from dcore.anchored import HIndexFixpoint, LuppProgram, RowProgram, anchored_decompose
 from dcore.engine import (
     EngineMetrics,
     SuperstepLimitError,
@@ -12,6 +12,7 @@ from dcore.engine import (
     run_programs,
 )
 from dcore.graph import build_graph, generate_random_digraph, hash_partition, make_partition
+from dcore.skyline import skyline_table
 
 from _naive import naive_schedule
 from conftest import GRAPH_SOURCES, REF8_KMAX, boxes, graph_from
@@ -252,10 +253,11 @@ def test_emitter_without_messages_stays_active():
     assert metrics.messages_per_step == [8, 8, 6, 4, 2, 0]
     assert [left for left, _ in results] == [0] * 10
     assert (results, metrics) == _reference(CountdownProgram(), ring)
-    # On two hash blocks every ring arc crosses blocks.  Local rounds go on
-    # while a round sends anything, so all countdowns finish in superstep 1.
+    # On two hash blocks every ring arc crosses blocks.  A block's superstep
+    # ends after its first round that sends nothing inside the block, so
+    # each superstep is one round, as in vertex mode.
     _, metrics = run_program(CountdownProgram(), ring, hash_partition(ring, 2), "block")
-    assert metrics.messages_per_step == [8, 20, 0]
+    assert metrics.messages_per_step == [8, 8, 6, 4, 2, 0]
     g = generate_random_digraph(40, 0.1, seed=5)
     assert run_program(CountdownProgram(), g) == _reference(CountdownProgram(), g)
     for blocks in (1, 3):
@@ -303,10 +305,11 @@ def test_every_payload_arrives_exactly_once_in_emission_order():
 
 
 def test_payloads_of_two_local_rounds_cross_blocks_in_order():
-    # On two hash blocks every ring arc crosses blocks.  Vertex 2 emits (2, 1)
-    # and (2, 2) in two local rounds of superstep 2; vertex 3 must receive
-    # both at the start of superstep 3, in that order.
-    ring = build_graph(10, [(v, (v + 1) % 10) for v in range(10)])
+    # On two hash blocks every ring arc crosses blocks; the chord (2, 4) stays
+    # inside block 0.  Having sent along it, vertex 2 emits (2, 1) and (2, 2)
+    # in two local rounds of superstep 2; vertex 3 must receive both at the
+    # start of superstep 3, in that order.
+    ring = build_graph(10, [(v, (v + 1) % 10) for v in range(10)] + [(2, 4)])
     snaps = []
     logs, _ = run_program(
         SequenceProgram(),
@@ -400,3 +403,72 @@ def test_blocks_take_their_local_rounds_together():
     # The rounds cap is the superstep cap plus one; the path needs more.
     with pytest.raises(SuperstepLimitError, match=r"block 0: .* 8 iterations \(in slow\)"):
         run_program(HIndexFixpoint("in"), g, parts, "block", max_supersteps=8, phase="slow")
+
+
+def _path_with_back_arcs(n):
+    """A directed path plus an arc back from i + 5 to i for every i = 0 mod 7."""
+    arcs = [(i, i + 1) for i in range(n - 1)] + [(i + 5, i) for i in range(0, n - 5, 7)]
+    return build_graph(n, arcs)
+
+
+# (supersteps, messages_total, intra_messages) of each phase of
+# anchored_decompose (I, II, III) and skyline_table (init, d-index) in block
+# mode.  The engine-vs-reference tests cannot catch a scheduling rule that
+# moves these, since the reference follows the engine's rule.
+BLOCK_MODE_COUNTS = {
+    ((60, 0.12, 2), "hash", 3): (
+        [(6, 903, 271), (12, 1249, 418), (3, 811, 1)],
+        [(6, 1812, 530), (6, 1245, 227)],
+    ),
+    ((60, 0.12, 2), "seg", 4): (
+        [(5, 1017, 143), (12, 1394, 251), (3, 809, 3)],
+        [(6, 2030, 292), (8, 1333, 139)],
+    ),
+    ((80, 0.1, 3), "hash", 3): (
+        [(5, 1243, 310), (8, 2330, 809), (7, 1883, 357)],
+        [(8, 2975, 835), (7, 1896, 365)],
+    ),
+    ((80, 0.1, 3), "seg", 4): (
+        [(5, 1288, 243), (10, 2548, 782), (7, 1955, 285)],
+        [(10, 3080, 690), (7, 1973, 288)],
+    ),
+    (("pa", 60, 3, 1), "hash", 3): (
+        [(7, 306, 66), (7, 343, 88), (2, 342, 0)],
+        [(7, 618, 140), (3, 394, 22)],
+    ),
+    (("pa", 60, 3, 1), "seg", 4): (
+        [(9, 304, 68), (8, 326, 115), (2, 342, 0)],
+        [(9, 606, 159), (3, 386, 30)],
+    ),
+    ("path", "hash", 3): (
+        [(3, 74, 0), (6, 79, 0), (2, 134, 0)],
+        [(6, 153, 0), (2, 134, 0)],
+    ),
+    ("path", "seg", 4): (
+        [(3, 68, 6), (3, 67, 12), (2, 134, 0)],
+        [(3, 135, 18), (2, 134, 0)],
+    ),
+}
+
+
+def _case_id(source, part, blocks):
+    name = source if isinstance(source, str) else "-".join(map(str, source))
+    return f"{name}-{part}{blocks}"
+
+
+@pytest.mark.parametrize(
+    "source,part,blocks",
+    list(BLOCK_MODE_COUNTS),
+    ids=[_case_id(*case) for case in BLOCK_MODE_COUNTS],
+)
+def test_block_mode_phase_counts_are_pinned(source, part, blocks, request):
+    g = _path_with_back_arcs(60) if source == "path" else graph_from(source, request)
+    parts = make_partition(part, g, blocks)
+    want_anchored, want_skyline = BLOCK_MODE_COUNTS[source, part, blocks]
+    for algo, names, want in [
+        (anchored_decompose, ["phase I", "phase II", "phase III"], want_anchored),
+        (skyline_table, ["init", "d-index"], want_skyline),
+    ]:
+        _, phases = algo(g, parts, "block")
+        assert [m.phase for m in phases] == names
+        assert [(m.supersteps, m.messages_total, m.intra_messages) for m in phases] == want
