@@ -6,10 +6,10 @@ superstep, delivering same-block messages between rounds and holding
 cross-block ones for the next superstep; a block's superstep ends after
 its first round that sends no message inside the block.  Blocks share
 nothing within a superstep, so all blocks take their local rounds
-together over one active set, each as if it ran alone.  Vertex-centric
-mode is the case in which no vertex has a recipient in its own block: each
-superstep is one round, and every message is held for the next one.  A
-run ends after the first superstep that delivers no message.
+together, each as if it ran alone.  Vertex-centric mode is the case in
+which no vertex has a recipient in its own block: each superstep is one
+round, and every message is held for the next one.  A run ends after the
+first superstep that delivers no message.
 
 Each program's run is one _Run object.  run_programs advances several
 runs in shared supersteps, as a Pregel job may run vertex programs that
@@ -34,13 +34,14 @@ promised order, so their folds must be commutative across senders.  All
 init messages are delivered before any vertex runs after_messages, so a
 program may seed state from them in its first call.
 
-Scheduling follows Pregel's vote-to-halt rule: in a round, a vertex takes
-its messages and runs after_messages only if it received a message in that
-round or emitted in its previous round (init counts as a round in which
-every vertex with a payload emitted).  So after_messages must return None
-unless one of those holds.  The programs in this package emit only on
-change, which satisfies this; results and metrics then equal those of
-sweeping every vertex in every round.
+Scheduling follows Pregel's vote-to-halt rule, in which only a message
+wakes a halted vertex.  The first round after init runs every vertex that
+sent an init payload or received one; every later round runs only the
+vertices that received a message in it.  So after_messages must return
+None when nothing was folded into the state since its last call.  The
+programs in this package change state only by folding messages and emit
+only on change, which satisfies this; results and metrics then equal those
+of sweeping every vertex in every round.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ class VertexProgram:
     def after_messages(self, state, v: int, g: DirectedGraph):
         """Return a payload to broadcast, or None when nothing changed.
 
-        Must return None unless the vertex received a message in this round
-        or emitted in its previous one: the engine skips it otherwise.
+        Must return None when nothing was folded into state since the last
+        call: after the first round the engine runs a vertex only in a round
+        in which it received a message.
         """
         raise NotImplementedError
 
@@ -143,14 +145,14 @@ class _NoLocalFixpoint(Exception):
 
 
 class _Run:
-    """One program's run: its states, recipients, held messages and active set.
+    """One program's run: its states, recipients and held messages.
 
     Each vertex's recipients are split into those in its own block
     (local_to, reached in the next local round) and the others (held_to,
     reached in the next superstep).  Vertex mode is block mode with no
-    same-block recipients: local_to is empty everywhere.  One active set
-    serves every block: it holds the emitters of their last round and the
-    receivers since then.
+    same-block recipients: local_to is empty everywhere.  active holds the
+    vertices that emitted at init; it is empty after the first superstep,
+    whose first round runs them beside the receivers of init's payloads.
     """
 
     def __init__(self, program: VertexProgram, g: DirectedGraph, block_of, cap: int):
@@ -183,34 +185,34 @@ class _Run:
         self.delivering = count > 0
         return count
 
-    def _deliver(self, messages, active: set[int]) -> None:
-        """Hand each payload to its recipients and mark them active."""
+    def _deliver(self, messages, receivers: set[int]) -> None:
+        """Hand each payload to its recipients and add them to receivers."""
         on_broadcast, state_of = self.program.on_broadcast, self.states.__getitem__
         for s, payload, rs in messages:
             on_broadcast(map(state_of, rs), s, payload)
-            active.update(rs)
+            receivers.update(rs)
 
     def superstep(self) -> int:
         """Deliver the held payloads, then run the superstep's rounds.
 
-        All blocks take their rounds together.  A block's superstep ends
-        after its first round that sends no message inside the block, as
-        if it ran alone: blocks share nothing within a superstep.  The
-        emitters of that round wait for the next superstep, and so does
-        every emitter in vertex mode, which runs one round.  Returns the
-        number of deliveries held for the next superstep.
+        Each round runs the vertices that received a message in it, and the
+        first also those that emitted at init.  All blocks take their rounds
+        together: a payload sent inside a block reaches only that block, so
+        a block's superstep ends after its first round that sends nothing
+        inside it, as if it ran alone, and a vertex-mode superstep is one
+        round.  Returns the number of deliveries held for the next superstep.
         """
-        self._deliver(self.held, self.active)
+        run, self.active = self.active, set()
+        self._deliver(self.held, run)
         self.held = held = []
         states, g, after = self.states, self.g, self.program.after_messages
         block_of, held_to, local_to = self.block_of, self.held_to, self.local_to
-        run, waiting, rounds = self.active, [], 0  # rounds that sent inside a block
+        rounds = 0  # rounds that sent inside a block
         while True:
-            active, inbox = set(), []
+            inbox = []
             for v in run:
                 payload = after(states[v], v, g)
                 if payload is not None:
-                    active.add(v)
                     if held_to[v]:
                         held.append((v, payload, held_to[v]))
                     if local_to[v]:
@@ -220,17 +222,9 @@ class _Run:
             rounds += 1
             if rounds > self.cap:
                 raise _NoLocalFixpoint(min(block_of[s] for s, _, _ in inbox))
-            # the emitters of blocks that sent nothing inside wait for the next superstep
-            sending = {block_of[s] for s, _, _ in inbox}
-            quiet = [v for v in active if block_of[v] not in sending]
-            active.difference_update(quiet)
-            waiting += quiet
             self.intra += sum(len(rs) for _, _, rs in inbox)
-            self._deliver(inbox, active)
-            run = active
-        if waiting:
-            active.update(waiting)
-        self.active = active
+            run = set()
+            self._deliver(inbox, run)
         self.delivering = bool(held) or rounds > 0
         return sum(len(rs) for _, _, rs in held)
 
@@ -241,7 +235,6 @@ def run_programs(
     parts: PartitionMap | None = None,
     mode: str = "vertex",
     *,
-    max_supersteps: int | None = None,
     workers: int = 1,
     observer=None,
     phase: str = "",
@@ -266,14 +259,17 @@ def run_programs(
     since the simulator runs in one thread; it stays only because
     benchmarks/run.py passes workers=1, and goes when that call stops
     passing it.  `observer(step, states)` is called after init as step 1
-    and then after every superstep, with one state list per program.
+    and then after every superstep, with one state list per program.  A run
+    that needs more than default_superstep_cap(g) supersteps, or a block
+    that needs more local rounds in one superstep, raises
+    SuperstepLimitError.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "block" and parts is None:
         raise ValueError("block mode requires a partition")
     block_of = parts.block_of if mode == "block" else None
-    cap = max_supersteps if max_supersteps is not None else default_superstep_cap(g)
+    cap = default_superstep_cap(g)
     runs = [_Run(program, g, block_of, cap) for program in programs]
     states = [run.states for run in runs]
     per_step = [sum(run.init() for run in runs)]

@@ -172,17 +172,21 @@ def parse_edge_list(source) -> DirectedGraph:
 def write_edge_list(g: DirectedGraph, path) -> None:
     """Write a graph back to edge-list text using its original labels.
 
-    Emits a `# n=<count>` header only when some vertex appears in no arc,
-    since a pure edge list cannot express isolated vertices.
+    A pure edge list cannot express isolated vertices.  When the labels are
+    exactly 0..n-1, a `# n=<count>` header declares them all; otherwise each
+    isolated vertex is written as a self-loop line `L L`, which the parser
+    reads as a vertex with no arc.
     """
     touched = [False] * g.n
+    for u, v in g.arcs():
+        touched[u] = touched[v] = True
+    header = not all(touched) and all(0 <= label < g.n for label in g.labels)
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in g.arcs():
-            touched[u] = True
-            touched[v] = True
-        if not all(touched):
+        if header:
             fh.write(f"# n={g.n}\n")
         for u in range(g.n):
+            if not (touched[u] or header):
+                fh.write(f"{g.labels[u]} {g.labels[u]}\n")
             for v in g.out_adj[u]:
                 fh.write(f"{g.labels[u]} {g.labels[v]}\n")
 

@@ -80,13 +80,17 @@ def test_decompose_empty_graph_lines(tmp_path):
     assert out.read_text().splitlines() == ["0: (0,0)", "1: (0,0)", "2: (0,0)"]
 
 
-def test_decompose_rejects_mode_with_peel(ref8_file, tmp_path, capsys):
-    rc = main([
-        "decompose", str(ref8_file), "--algo", "peel",
-        "--mode", "vertex", "--out", str(tmp_path / "x.txt"),
-    ])
+@pytest.mark.parametrize(
+    "flag",
+    [["--mode", "vertex"], ["--blocks", "2"], ["--partitioner", "seg"]],
+    ids=["mode", "blocks", "partitioner"],
+)
+def test_decompose_rejects_mode_with_peel(flag, ref8_file, tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    rc = main(["decompose", str(ref8_file), "--algo", "peel", *flag, "--out", str(out)])
     assert rc == 2
-    assert "peel" in capsys.readouterr().err
+    assert "do not apply to --algo peel" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_decompose_missing_input(tmp_path, capsys):

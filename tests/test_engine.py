@@ -1,7 +1,10 @@
 """Engine semantics: superstep accounting, quiescence, mode equivalence."""
 
+import copy
+
 import pytest
 
+from dcore import engine
 from dcore.anchored import HIndexFixpoint, LuppProgram, RowProgram, anchored_decompose
 from dcore.engine import (
     EngineMetrics,
@@ -53,11 +56,12 @@ class ChattyProgram(VertexProgram):
 
 
 class CountdownProgram(VertexProgram):
-    """Emits every round until its countdown runs out, whatever it receives.
+    """Emits whenever it runs until its countdown runs out, mail or not.
 
     Vertex v starts at v % 5 and emits its remaining count; received
-    payloads are only summed.  A scheduler that ran only message receivers
-    would stall the vertices whose in-neighbors fall silent first.
+    payloads are only summed.  This breaks the engine's contract: after
+    the first round the engine runs a vertex only when it has mail, so the
+    vertices whose in-neighbors fall silent first stall before zero.
     """
 
     broadcast = "out"
@@ -80,29 +84,31 @@ class CountdownProgram(VertexProgram):
 
 
 class SequenceProgram(VertexProgram):
-    """Vertex v emits (v, 0), (v, 1), ..., (v, v % 3), then stops.
+    """Vertex v emits a prefix of (v, 0), (v, 1), ..., (v, v % 3).
 
-    (v, 0) goes out at init and each later payload in the vertex's next
-    round, whatever it receives.  Every delivery is logged in arrival order.
+    (v, 0) goes out at init and each later payload in a round in which the
+    vertex has new mail.  Every delivery is logged in arrival order, and
+    extract returns (deliveries, payloads emitted).
     """
 
     broadcast = "out"
 
     def init(self, v, g):
-        return {"next": 1, "got": []}, (v, 0)
+        return {"sent": [(v, 0)], "got": [], "read": 0}, (v, 0)
 
     def on_message(self, state, sender, payload):
         state["got"].append((sender, payload))
 
     def after_messages(self, state, v, g):
-        i = state["next"]
-        if i > v % 3:
+        sent, unread = state["sent"], len(state["got"]) > state["read"]
+        state["read"] = len(state["got"])
+        if not unread or len(sent) > v % 3:
             return None
-        state["next"] = i + 1
-        return (v, i)
+        sent.append((v, len(sent)))
+        return sent[-1]
 
     def extract(self, state, v, g):
-        return state["got"]
+        return state["got"], state["sent"]
 
 
 def test_silent_program_runs_one_superstep(ref8):
@@ -147,16 +153,18 @@ def test_block_centric_matches_vertex_centric(ref8, ref7):
                 assert m_block.supersteps <= m_vertex.supersteps
 
 
-def test_runaway_program_hits_cap(ref8):
+def test_runaway_program_hits_cap(ref8, monkeypatch):
+    monkeypatch.setattr(engine, "default_superstep_cap", lambda g: 7)
     # the error carries the partial metrics of the supersteps completed
     with pytest.raises(SuperstepLimitError) as info:
-        run_program(ChattyProgram(), ref8, max_supersteps=7, phase="chatty")
+        run_program(ChattyProgram(), ref8, phase="chatty")
     m = info.value.metrics
     assert (m.phase, m.supersteps) == ("chatty", 7)
     assert m.messages_per_step == [ref8.num_arcs] * 7
-    # block mode: one block never reaches a local fixpoint within the cap
-    with pytest.raises(SuperstepLimitError) as info:
-        run_program(ChattyProgram(), ref8, hash_partition(ref8, 2), "block", max_supersteps=7)
+    # block mode: the one block holds directed cycles (0 -> 4 -> 0), so it
+    # never reaches a local fixpoint within the cap
+    with pytest.raises(SuperstepLimitError, match="no local fixpoint") as info:
+        run_program(ChattyProgram(), ref8, hash_partition(ref8, 1), "block")
     m = info.value.metrics
     assert m.messages_per_step == [ref8.num_arcs]
     assert m.intra_messages > 0
@@ -246,24 +254,79 @@ def test_active_set_matches_full_sweep_reference(n, p, seed):
             assert got == _reference(make(), g, parts), (name, part, blocks)
 
 
-def test_emitter_without_messages_stays_active():
+class MailLoggingCountdown(CountdownProgram):
+    """CountdownProgram that logs (superstep, vertex, had mail) for every run."""
+
+    def __init__(self):
+        self.step, self.runs = 2, []
+
+    def on_message(self, state, sender, payload):
+        super().on_message(state, sender, payload)
+        state["mail"] = True
+
+    def after_messages(self, state, v, g):
+        self.runs.append((self.step, v, state.pop("mail", False)))
+        return super().after_messages(state, v, g)
+
+    def observer(self, step, states):
+        # every message delivered so far was read in its round
+        assert not any("mail" in state for state in states)
+        self.step = step + 1
+
+
+def test_after_init_a_vertex_runs_only_in_rounds_with_mail():
+    # Vertices 1-3 have no arcs and vertex 4 only an arc to 0, so none of
+    # them gets mail: each runs in the first round, as it emitted at init,
+    # counts down once and stalls.  A full sweep counts them down to zero.
+    g = build_graph(5, [(4, 0)])
+    results, metrics = run_program(CountdownProgram(), g)
+    assert results == [(0, 4 + 3), (0, 0), (1, 0), (2, 0), (3, 0)]
+    assert metrics.messages_per_step == [1, 1, 0]
+    assert _reference(CountdownProgram(), g)[0] == [(0, 4 + 3 + 2 + 1)] + [(0, 0)] * 4
+    # On a ring each emitter after init has mail from its predecessor, which
+    # emitted the round before.  v % 5 >= r vertices emit in round r.  On two
+    # hash blocks every ring arc crosses blocks, so each superstep is one
+    # round, as in vertex mode.
     ring = build_graph(10, [(v, (v + 1) % 10) for v in range(10)])
-    results, metrics = run_program(CountdownProgram(), ring)
-    # v % 5 >= r vertices emit in round r, each to one successor
-    assert metrics.messages_per_step == [8, 8, 6, 4, 2, 0]
-    assert [left for left, _ in results] == [0] * 10
-    assert (results, metrics) == _reference(CountdownProgram(), ring)
-    # On two hash blocks every ring arc crosses blocks.  A block's superstep
-    # ends after its first round that sends nothing inside the block, so
-    # each superstep is one round, as in vertex mode.
-    _, metrics = run_program(CountdownProgram(), ring, hash_partition(ring, 2), "block")
-    assert metrics.messages_per_step == [8, 8, 6, 4, 2, 0]
-    g = generate_random_digraph(40, 0.1, seed=5)
-    assert run_program(CountdownProgram(), g) == _reference(CountdownProgram(), g)
-    for blocks in (1, 3):
-        parts = hash_partition(g, blocks)
-        got = run_program(CountdownProgram(), g, parts, "block")
-        assert got == _reference(CountdownProgram(), g, parts)
+    for parts in (None, hash_partition(ring, 2)):
+        mode = "vertex" if parts is None else "block"
+        results, metrics = run_program(CountdownProgram(), ring, parts, mode)
+        assert metrics.messages_per_step == [8, 8, 6, 4, 2, 0]
+        assert [left for left, _ in results] == [0] * 10
+    rand = generate_random_digraph(40, 0.1, seed=5)
+    for graph in (g, ring, rand):
+        emitters = {v for v in range(graph.n) if v % 5}
+        for parts in (None, hash_partition(graph, 1), hash_partition(graph, 3)):
+            mode = "vertex" if parts is None else "block"
+            prog = MailLoggingCountdown()
+            run_program(prog, graph, parts, mode, observer=prog.observer)
+            # Every init emitter runs in superstep 2.  Only they run without
+            # mail, each once, there; the observer checks that every vertex
+            # that got mail ran in that round.
+            assert emitters <= {v for step, v, _ in prog.runs if step == 2}
+            without_mail = [(step, v) for step, v, mail in prog.runs if not mail]
+            assert all(step == 2 for step, _ in without_mail)
+            alone = [v for _, v in without_mail]
+            assert len(alone) == len(set(alone)) and set(alone) <= emitters
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_package_programs_return_none_without_new_mail(source, request):
+    # What message-driven scheduling relies on: once a vertex has run on all
+    # its mail, a further after_messages call emits nothing.  After every
+    # superstep each vertex has, so a call on a copy of any state returns None.
+    g = graph_from(source, request)
+    for name, make in _program_factories(g).items():
+        for parts in (None, make_partition("hash", g, 3), make_partition("seg", g, 4)):
+            prog = make()
+
+            def observer(step, states):
+                if step >= 2:
+                    for v, state in enumerate(states):
+                        payload = prog.after_messages(copy.deepcopy(state), v, g)
+                        assert payload is None, (name, parts, step, v)
+
+            run_program(prog, g, parts, "vertex" if parts is None else "block", observer=observer)
 
 
 def test_long_path_updates_are_linear():
@@ -280,16 +343,19 @@ def test_long_path_updates_are_linear():
     _, metrics = run_program(prog, g)
     assert metrics.supersteps == 100
     # Round 1 runs all n vertices, as all emitted at init; every later round
-    # runs only the vertex that just dropped and its successor.  A full sweep
+    # runs only the successor of the vertex that just dropped.  A full sweep
     # would make n * (supersteps - 1) = 9900 calls.
-    assert len(calls) == g.n + 2 * (metrics.supersteps - 2)
+    assert len(calls) == g.n + (metrics.supersteps - 2)
 
 
 def _assert_each_payload_arrives_once_in_order(g, logs):
-    for r, got in enumerate(logs):
+    sent = [emitted for _, emitted in logs]
+    for r, (got, _) in enumerate(logs):
         assert sorted({s for s, _ in got}) == g.in_adj[r]
         for s in g.in_adj[r]:
-            assert [p for sender, p in got if sender == s] == [(s, i) for i in range(s % 3 + 1)]
+            assert [p for sender, p in got if sender == s] == sent[s]
+    # some vertex emitted all three payloads, so their order is checked
+    assert max(map(len, sent)) == 3
 
 
 def test_every_payload_arrives_exactly_once_in_emission_order():
@@ -305,11 +371,12 @@ def test_every_payload_arrives_exactly_once_in_emission_order():
 
 
 def test_payloads_of_two_local_rounds_cross_blocks_in_order():
-    # On two hash blocks every ring arc crosses blocks; the chord (2, 4) stays
-    # inside block 0.  Having sent along it, vertex 2 emits (2, 1) and (2, 2)
-    # in two local rounds of superstep 2; vertex 3 must receive both at the
-    # start of superstep 3, in that order.
-    ring = build_graph(10, [(v, (v + 1) % 10) for v in range(10)] + [(2, 4)])
+    # On two hash blocks every ring arc crosses blocks; the chords (2, 4) and
+    # (4, 2) stay inside block 0.  Vertex 2 emits (2, 1) in the first round
+    # of superstep 2 and, on the mail (4, 1) sent inside the block, (2, 2)
+    # in the second; vertex 3 must receive both at the start of superstep
+    # 3, in that order.
+    ring = build_graph(10, [(v, (v + 1) % 10) for v in range(10)] + [(2, 4), (4, 2)])
     snaps = []
     logs, _ = run_program(
         SequenceProgram(),
@@ -359,20 +426,18 @@ def test_programs_in_shared_supersteps_equal_their_separate_runs(source, request
         assert seen == [(step, 2) for step in range(1, joint.supersteps + 1)]
 
 
-def test_runaway_program_beside_a_quiet_one_hits_cap(ref8):
+def test_runaway_program_beside_a_quiet_one_hits_cap(ref8, monkeypatch):
     _, quiet = run_program(HIndexFixpoint("in"), ref8)
+    monkeypatch.setattr(engine, "default_superstep_cap", lambda g: 7)
     with pytest.raises(SuperstepLimitError) as info:
-        run_programs((HIndexFixpoint("in"), ChattyProgram()), ref8, max_supersteps=7, phase="pair")
+        run_programs((HIndexFixpoint("in"), ChattyProgram()), ref8, phase="pair")
     m = info.value.metrics
     assert (m.phase, m.supersteps) == ("pair", 7)
     # the partial metrics count both programs' messages
     assert m.messages_per_step == _padded_sum(quiet.messages_per_step, [ref8.num_arcs] * 7)
-    parts = hash_partition(ref8, 2)
+    parts = hash_partition(ref8, 1)
     with pytest.raises(SuperstepLimitError, match=r"no local fixpoint .*\(in pair\)") as info:
-        run_programs(
-            (HIndexFixpoint("in"), ChattyProgram()), ref8, parts, "block",
-            max_supersteps=7, phase="pair",
-        )
+        run_programs((HIndexFixpoint("in"), ChattyProgram()), ref8, parts, "block", phase="pair")
     assert info.value.metrics.messages_per_step == [2 * ref8.num_arcs]
 
 
@@ -391,18 +456,18 @@ def _one_slow_block_graph():
     return build_graph(64, arcs)
 
 
-def test_blocks_take_their_local_rounds_together():
+def test_blocks_take_their_local_rounds_together(monkeypatch):
     g = _one_slow_block_graph()
     parts = make_partition("seg", g, 4)
-    programs = _program_factories(g) | {"countdown": CountdownProgram}
-    for name, make in programs.items():
+    for name, make in _program_factories(g).items():
         got = run_program(make(), g, parts, "block", phase=name)
         assert got == _reference(make(), g, parts, name), name
     _, metrics = run_program(HIndexFixpoint("in"), g, parts, "block")
     assert metrics.intra_messages >= 15  # the whole path fell inside block 0
     # The rounds cap is the superstep cap plus one; the path needs more.
+    monkeypatch.setattr(engine, "default_superstep_cap", lambda g: 8)
     with pytest.raises(SuperstepLimitError, match=r"block 0: .* 8 iterations \(in slow\)"):
-        run_program(HIndexFixpoint("in"), g, parts, "block", max_supersteps=8, phase="slow")
+        run_program(HIndexFixpoint("in"), g, parts, "block", phase="slow")
 
 
 def _path_with_back_arcs(n):

@@ -145,12 +145,24 @@ def test_generated_graphs_are_consistent():
 
 
 def test_edge_list_round_trip(tmp_path):
-    g = generate_random_digraph(25, 0.12, seed=7)
-    path = tmp_path / "g.txt"
-    write_edge_list(g, path)
-    back = parse_edge_list(path.read_text())
-    assert back.n == g.n
     labeled = lambda graph: sorted(
         (graph.labels[u], graph.labels[v]) for u, v in graph.arcs()
     )
-    assert labeled(back) == labeled(g)
+    path = tmp_path / "g.txt"
+    # Labels 0..n-1 with isolated vertices take the `# n=` header.  Labels
+    # [5, 6, 7] with 7 isolated cannot, so 7 is written as the line "7 7".
+    sparse = generate_random_digraph(50, 0.01, seed=1)
+    assert any(not (sparse.in_adj[v] or sparse.out_adj[v]) for v in range(50))
+    for g, header in [
+        (generate_random_digraph(25, 0.12, seed=7), False),
+        (sparse, True),
+        (parse_edge_list("5 6\n7 7\n"), False),
+    ]:
+        write_edge_list(g, path)
+        text = path.read_text()
+        assert text.startswith("# n=") == header
+        back = parse_edge_list(text)
+        assert back.n == g.n
+        assert sorted(back.labels) == sorted(g.labels)
+        assert labeled(back) == labeled(g)
+    assert path.read_text() == "5 6\n7 7\n"
