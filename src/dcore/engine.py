@@ -9,7 +9,7 @@ nothing within a superstep, so all blocks take their local rounds
 together, each as if it ran alone.  Vertex-centric mode is the case in
 which no vertex has a recipient in its own block: each superstep is one
 round, and every message is held for the next one.  A run ends after the
-first superstep that delivers no message.
+first superstep that holds no message.
 
 Each program's run is one _Run object.  run_programs advances several
 runs in shared supersteps, as a Pregel job may run vertex programs that
@@ -34,11 +34,12 @@ promised order, so their folds must be commutative across senders.  All
 init messages are delivered before any vertex runs after_messages, so a
 program may seed state from them in its first call.
 
-Scheduling follows Pregel's vote-to-halt rule, in which only a message
-wakes a halted vertex.  The first round after init runs every vertex that
-sent an init payload or received one; every later round runs only the
-vertices that received a message in it.  So after_messages must return
-None when nothing was folded into the state since its last call.  The
+Scheduling is Pregel's rule, in which only a message wakes a halted
+vertex.  Init is every vertex's first step.  After init, a round hands each
+payload in its inbox to its recipients, then runs the vertices that got
+one; a superstep's first inbox is the held mail.  So after_messages must
+return None when nothing was folded into the state since init or its last
+call, and a vertex that no init payload reaches keeps its init state.  The
 programs in this package change state only by folding messages and emit
 only on change, which satisfies this; results and metrics then equal those
 of sweeping every vertex in every round.
@@ -113,9 +114,9 @@ class VertexProgram:
     def after_messages(self, state, v: int, g: DirectedGraph):
         """Return a payload to broadcast, or None when nothing changed.
 
-        Must return None when nothing was folded into state since the last
-        call: after the first round the engine runs a vertex only in a round
-        in which it received a message.
+        Must return None when nothing was folded into state since init or
+        the last call: the engine runs a vertex only in a round in which it
+        received a message.
         """
         raise NotImplementedError
 
@@ -150,9 +151,8 @@ class _Run:
     Each vertex's recipients are split into those in its own block
     (local_to, reached in the next local round) and the others (held_to,
     reached in the next superstep).  Vertex mode is block mode with no
-    same-block recipients: local_to is empty everywhere.  active holds the
-    vertices that emitted at init; it is empty after the first superstep,
-    whose first round runs them beside the receivers of init's payloads.
+    same-block recipients: local_to is empty everywhere.  The run is live
+    while held is non-empty.
     """
 
     def __init__(self, program: VertexProgram, g: DirectedGraph, block_of, cap: int):
@@ -166,49 +166,44 @@ class _Run:
                 self.held_to.append([r for r in rs if block_of[r] != block_of[v]])
                 self.local_to.append([r for r in rs if block_of[r] == block_of[v]])
         self.states = [None] * g.n
-        self.active: set[int] = set()
         self.held: list[tuple[int, object, list[int]]] = []
         self.intra = 0  # deliveries kept inside a block after init
-        self.delivering = False  # whether init or the last superstep delivered anything
 
     def init(self) -> int:
         """Run init at every vertex and hold its payloads; return their deliveries."""
         init, g, recipients = self.program.init, self.g, self.recipients
-        states, active, held = self.states, self.active, self.held
+        states, held = self.states, self.held
         for v in range(g.n):
             states[v], payload = init(v, g)
-            if payload is not None:
-                active.add(v)
-                if recipients[v]:
-                    held.append((v, payload, recipients[v]))
-        count = sum(len(rs) for _, _, rs in held)
-        self.delivering = count > 0
-        return count
-
-    def _deliver(self, messages, receivers: set[int]) -> None:
-        """Hand each payload to its recipients and add them to receivers."""
-        on_broadcast, state_of = self.program.on_broadcast, self.states.__getitem__
-        for s, payload, rs in messages:
-            on_broadcast(map(state_of, rs), s, payload)
-            receivers.update(rs)
+            if payload is not None and recipients[v]:
+                held.append((v, payload, recipients[v]))
+        return sum(len(rs) for _, _, rs in held)
 
     def superstep(self) -> int:
-        """Deliver the held payloads, then run the superstep's rounds.
+        """Deliver the held mail and run rounds until none sends inside a block.
 
-        Each round runs the vertices that received a message in it, and the
-        first also those that emitted at init.  All blocks take their rounds
-        together: a payload sent inside a block reaches only that block, so
-        a block's superstep ends after its first round that sends nothing
-        inside it, as if it ran alone, and a vertex-mode superstep is one
-        round.  Returns the number of deliveries held for the next superstep.
+        A round hands each payload in its inbox to its recipients, then runs
+        the vertices that got one.  The first inbox is the held mail; each
+        later one is what the round before sent inside a block, which
+        reaches only that block, so all blocks take their rounds together,
+        each as if it ran alone, and a vertex-mode superstep is one round.
+        Returns the number of deliveries held for the next superstep.
         """
-        run, self.active = self.active, set()
-        self._deliver(self.held, run)
-        self.held = held = []
-        states, g, after = self.states, self.g, self.program.after_messages
-        block_of, held_to, local_to = self.block_of, self.held_to, self.local_to
-        rounds = 0  # rounds that sent inside a block
-        while True:
+        inbox, self.held = self.held, []
+        held, states, g = self.held, self.states, self.g
+        on_broadcast, after = self.program.on_broadcast, self.program.after_messages
+        held_to, local_to, state_of = self.held_to, self.local_to, states.__getitem__
+        rounds = 0
+        while inbox:
+            if rounds:  # the inbox was sent inside blocks
+                if rounds > self.cap:
+                    raise _NoLocalFixpoint(min(self.block_of[s] for s, _, _ in inbox))
+                self.intra += sum(len(rs) for _, _, rs in inbox)
+            rounds += 1
+            run = set()
+            for s, payload, rs in inbox:
+                on_broadcast(map(state_of, rs), s, payload)
+                run.update(rs)
             inbox = []
             for v in run:
                 payload = after(states[v], v, g)
@@ -217,15 +212,6 @@ class _Run:
                         held.append((v, payload, held_to[v]))
                     if local_to[v]:
                         inbox.append((v, payload, local_to[v]))
-            if not inbox:
-                break
-            rounds += 1
-            if rounds > self.cap:
-                raise _NoLocalFixpoint(min(block_of[s] for s, _, _ in inbox))
-            self.intra += sum(len(rs) for _, _, rs in inbox)
-            run = set()
-            self._deliver(inbox, run)
-        self.delivering = bool(held) or rounds > 0
         return sum(len(rs) for _, _, rs in held)
 
 
@@ -279,7 +265,7 @@ def run_programs(
 
     if observer is not None:
         observer(1, states)
-    live = [run for run in runs if run.delivering]
+    live = [run for run in runs if run.held]
     while live:
         if len(per_step) >= cap:
             raise SuperstepLimitError(
@@ -294,7 +280,7 @@ def run_programs(
                 f"(in {phase or '?'})",
                 metrics_so_far(),
             ) from None
-        live = [run for run in live if run.delivering]
+        live = [run for run in live if run.held]
         if observer is not None:
             observer(len(per_step), states)
     results = [

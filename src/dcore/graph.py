@@ -107,14 +107,17 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
 
     Lines starting with '#' are comments; a `# n=<count>` comment declares
     vertices 0..count-1 up front so isolated vertices survive a round trip.
-    Each remaining line must be two integer labels `src dst`.  source is
-    the whole text as one str or an iterable of str lines, such as a text
-    file handle.
+    Each remaining line must be two integer labels `src dst`.  A line `L L`
+    whose label appears on no other line is how write_edge_list writes an
+    isolated vertex, so it is not counted as a dropped self-loop.  source
+    is the whole text as one str or an iterable of str lines, such as a
+    text file handle.
     """
     label_to_id: dict[int, int] = {}
     labels: list[int] = []
     arcs: list[tuple[int, int]] = []
     self_loops = 0
+    looped: set[int] = set()  # dense IDs named on a self-loop line
     declared_n = None
 
     def intern(label: int) -> int:
@@ -154,11 +157,12 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
             raise EdgeListError(f"line {lineno}: non-integer vertex label") from None
         if a == b:
             self_loops += 1
-            intern(a)
+            looped.add(intern(a))
             continue
         arcs.append((intern(a), intern(b)))
 
     g = build_graph(len(labels), arcs, labels)
+    self_loops -= sum(1 for v in looped if not (g.in_adj[v] or g.out_adj[v]))
     return g, ParseReport(
         self_loops_dropped=self_loops, duplicates_dropped=len(arcs) - g.num_arcs
     )
@@ -175,7 +179,7 @@ def write_edge_list(g: DirectedGraph, path) -> None:
     A pure edge list cannot express isolated vertices.  When the labels are
     exactly 0..n-1, a `# n=<count>` header declares them all; otherwise each
     isolated vertex is written as a self-loop line `L L`, which the parser
-    reads as a vertex with no arc.
+    reads as a vertex with no arc and does not report as a dropped loop.
     """
     touched = [False] * g.n
     for u, v in g.arcs():

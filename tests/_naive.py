@@ -116,7 +116,7 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
     block; cross-block messages wait for the next superstep.  block_of=None
     is vertex mode: one block in which every message counts as crossing, so
     each superstep is one round and all messages wait for the next one.
-    A run stops after a superstep that delivers nothing.
+    A run stops after a superstep that holds nothing for the next one.
     Returns (results, supersteps, messages per superstep, intra messages).
     """
     n = g.n
@@ -135,12 +135,10 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
             waiting += [(v, r, payload) for r in targets[v]]
     per_step = [len(waiting)]
     intra = 0
-    delivered_last = len(waiting)
-    while delivered_last:
+    while waiting:
         if len(per_step) >= max_supersteps:
             raise RuntimeError("naive scheduler did not quiesce")
         incoming, waiting = waiting, []
-        delivered_last = 0
         for b in sorted(set(blocks)):
             members = [v for v in range(n) if blocks[v] == b]
             inbox = [m for m in incoming if blocks[m[1]] == b]
@@ -148,7 +146,6 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
                 for s, r, payload in inbox:
                     program.on_broadcast((states[r],), s, payload)
                 inbox = []
-                sent = 0
                 for v in members:
                     payload = program.after_messages(states[v], v, g)
                     if payload is None:
@@ -159,8 +156,6 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
                             intra += 1
                         else:
                             waiting.append((v, r, payload))
-                    sent += len(targets[v])
-                delivered_last += sent
                 if not inbox:
                     break
         per_step.append(len(waiting))

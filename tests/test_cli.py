@@ -12,6 +12,7 @@ import dcore
 from dcore import cli, engine
 from dcore.anchored import compute_kmax
 from dcore.cli import main
+from dcore.graph import parse_edge_list, write_edge_list
 
 from conftest import REF8_ARCS
 
@@ -144,6 +145,18 @@ def test_cleaned_input_is_reported_on_stderr(tmp_path, capsys):
     assert err == "# cleaned input: dropped 2 self-loops, 2 duplicate arcs\n"
     # one arc each way is left, so no vertex reaches k = 2
     assert out.read_text() == "1: (0,1) (1,1)\n2: (0,1) (1,1)\n"
+
+
+def test_written_isolated_vertex_reads_back_without_a_note(tmp_path, capsys):
+    # Labels [5, 6, 7] with 7 isolated take no `# n=` header, so the writer
+    # puts 7 on the line "7 7": not a self-loop the parser dropped.
+    src = tmp_path / "iso.txt"
+    write_edge_list(parse_edge_list("5 6\n7 7\n"), src)
+    assert src.read_text() == "5 6\n7 7\n"
+    out = tmp_path / "x.txt"
+    assert main(["decompose", str(src), "--algo", "peel", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text() == "5: (0,0)\n6: (0,0)\n7: (0,0)\n"
 
 
 def test_verify_passes_on_fixture(ref8_file, capsys):

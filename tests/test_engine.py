@@ -59,9 +59,9 @@ class CountdownProgram(VertexProgram):
     """Emits whenever it runs until its countdown runs out, mail or not.
 
     Vertex v starts at v % 5 and emits its remaining count; received
-    payloads are only summed.  This breaks the engine's contract: after
-    the first round the engine runs a vertex only when it has mail, so the
-    vertices whose in-neighbors fall silent first stall before zero.
+    payloads are only summed.  This breaks the engine's contract: the
+    engine runs a vertex only when it has mail, so the vertices whose
+    in-neighbors fall silent first stall before zero.
     """
 
     broadcast = "out"
@@ -137,8 +137,10 @@ def test_single_block_converges_in_two_supersteps_after_init(ref8):
     parts = hash_partition(ref8, 1)
     res, metrics = run_program(HIndexFixpoint("in"), ref8, parts, "block")
     assert res == REF8_KMAX
-    assert metrics.supersteps == 3
-    assert metrics.messages_per_step[1:] == [0, 0]  # never any cross traffic
+    # init, then one superstep whose local rounds reach the fixpoint and
+    # hold nothing, so the run ends there
+    assert metrics.supersteps == 2
+    assert metrics.messages_per_step[1:] == [0]  # never any cross traffic
     assert metrics.intra_messages > 0
 
 
@@ -255,59 +257,52 @@ def test_active_set_matches_full_sweep_reference(n, p, seed):
 
 
 class MailLoggingCountdown(CountdownProgram):
-    """CountdownProgram that logs (superstep, vertex, had mail) for every run."""
+    """CountdownProgram that logs (vertex, had mail) for every run."""
 
     def __init__(self):
-        self.step, self.runs = 2, []
+        self.runs = []
 
     def on_message(self, state, sender, payload):
         super().on_message(state, sender, payload)
         state["mail"] = True
 
     def after_messages(self, state, v, g):
-        self.runs.append((self.step, v, state.pop("mail", False)))
+        self.runs.append((v, state.pop("mail", False)))
         return super().after_messages(state, v, g)
 
     def observer(self, step, states):
         # every message delivered so far was read in its round
         assert not any("mail" in state for state in states)
-        self.step = step + 1
 
 
 def test_after_init_a_vertex_runs_only_in_rounds_with_mail():
-    # Vertices 1-3 have no arcs and vertex 4 only an arc to 0, so none of
-    # them gets mail: each runs in the first round, as it emitted at init,
-    # counts down once and stalls.  A full sweep counts them down to zero.
+    # Vertices 1-3 have no arcs and vertex 4 only an arc to 0, so only
+    # vertex 0 gets mail: it runs once, and the others never run after
+    # init.  A full sweep counts them all down to zero.
     g = build_graph(5, [(4, 0)])
     results, metrics = run_program(CountdownProgram(), g)
-    assert results == [(0, 4 + 3), (0, 0), (1, 0), (2, 0), (3, 0)]
-    assert metrics.messages_per_step == [1, 1, 0]
+    assert results == [(0, 4), (1, 0), (2, 0), (3, 0), (4, 0)]
+    assert metrics.messages_per_step == [1, 0]
     assert _reference(CountdownProgram(), g)[0] == [(0, 4 + 3 + 2 + 1)] + [(0, 0)] * 4
-    # On a ring each emitter after init has mail from its predecessor, which
-    # emitted the round before.  v % 5 >= r vertices emit in round r.  On two
-    # hash blocks every ring arc crosses blocks, so each superstep is one
-    # round, as in vertex mode.
+    # On a ring vertex 0 emits nothing, so vertex 1 never runs after init,
+    # and vertex i in 2..4 runs once per payload of i - 1, which is i - 1
+    # times, and stalls at 1.  On two hash blocks every ring arc crosses
+    # blocks, so each superstep is one round, as in vertex mode.
     ring = build_graph(10, [(v, (v + 1) % 10) for v in range(10)])
     for parts in (None, hash_partition(ring, 2)):
         mode = "vertex" if parts is None else "block"
         results, metrics = run_program(CountdownProgram(), ring, parts, mode)
-        assert metrics.messages_per_step == [8, 8, 6, 4, 2, 0]
-        assert [left for left, _ in results] == [0] * 10
+        assert metrics.messages_per_step == [8, 6, 4, 2, 0]
+        assert results == [(0, 4 + 3 + 2 + 1), (1, 0), (1, 1), (1, 2 + 1), (1, 3 + 2 + 1)] * 2
     rand = generate_random_digraph(40, 0.1, seed=5)
     for graph in (g, ring, rand):
-        emitters = {v for v in range(graph.n) if v % 5}
         for parts in (None, hash_partition(graph, 1), hash_partition(graph, 3)):
             mode = "vertex" if parts is None else "block"
             prog = MailLoggingCountdown()
             run_program(prog, graph, parts, mode, observer=prog.observer)
-            # Every init emitter runs in superstep 2.  Only they run without
-            # mail, each once, there; the observer checks that every vertex
-            # that got mail ran in that round.
-            assert emitters <= {v for step, v, _ in prog.runs if step == 2}
-            without_mail = [(step, v) for step, v, mail in prog.runs if not mail]
-            assert all(step == 2 for step, _ in without_mail)
-            alone = [v for _, v in without_mail]
-            assert len(alone) == len(set(alone)) and set(alone) <= emitters
+            # Every run had mail; the observer checks that every vertex that
+            # got mail ran in that round.
+            assert prog.runs and all(mail for _, mail in prog.runs)
 
 
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
@@ -315,18 +310,53 @@ def test_package_programs_return_none_without_new_mail(source, request):
     # What message-driven scheduling relies on: once a vertex has run on all
     # its mail, a further after_messages call emits nothing.  After every
     # superstep each vertex has, so a call on a copy of any state returns None.
+    # A vertex that no init payload reaches never runs, so its init state
+    # must be final: at step 1 a call on a copy returns None and leaves the
+    # result that the run ends with.
     g = graph_from(source, request)
     for name, make in _program_factories(g).items():
         for parts in (None, make_partition("hash", g, 3), make_partition("seg", g, 4)):
-            prog = make()
+            prog, reached, unreached = make(), set(), {}
+            recipients, init = engine._recipients(prog, g), prog.init
+
+            def recording_init(v, g):
+                state, payload = init(v, g)
+                if payload is not None:
+                    reached.update(recipients[v])
+                return state, payload
+
+            prog.init = recording_init
 
             def observer(step, states):
-                if step >= 2:
-                    for v, state in enumerate(states):
-                        payload = prog.after_messages(copy.deepcopy(state), v, g)
-                        assert payload is None, (name, parts, step, v)
+                for v, state in enumerate(states):
+                    if step == 1 and v in reached:
+                        continue
+                    state = copy.deepcopy(state)
+                    payload = prog.after_messages(state, v, g)
+                    assert payload is None, (name, parts, step, v)
+                    if step == 1:
+                        unreached[v] = prog.extract(state, v, g)
 
-            run_program(prog, g, parts, "vertex" if parts is None else "block", observer=observer)
+            mode = "vertex" if parts is None else "block"
+            results, _ = run_program(prog, g, parts, mode, observer=observer)
+            assert unreached == {v: results[v] for v in unreached}, (name, parts)
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_no_run_counts_an_empty_superstep(source, request):
+    # A run ends after its first superstep that holds nothing, so the first
+    # 0 in messages_per_step is its last entry, also in block mode after a
+    # superstep whose messages all stayed inside blocks.
+    g = graph_from(source, request)
+    factories = _program_factories(g)
+    cases = [("hash", 1), ("hash", 3), ("seg", 4)]
+    for parts in (None, *(make_partition(part, g, blocks) for part, blocks in cases)):
+        mode = "vertex" if parts is None else "block"
+        runs = {name: run_program(make(), g, parts, mode)[1] for name, make in factories.items()}
+        pair = (HIndexFixpoint("in"), HIndexFixpoint("out"))
+        runs["kmax+lmax"] = run_programs(pair, g, parts, mode)[1]
+        for name, m in runs.items():
+            assert m.messages_per_step.index(0) == m.supersteps - 1, (name, parts)
 
 
 def test_long_path_updates_are_linear():
@@ -342,10 +372,12 @@ def test_long_path_updates_are_linear():
     prog.after_messages = counting
     _, metrics = run_program(prog, g)
     assert metrics.supersteps == 100
-    # Round 1 runs all n vertices, as all emitted at init; every later round
-    # runs only the successor of the vertex that just dropped.  A full sweep
-    # would make n * (supersteps - 1) = 9900 calls.
-    assert len(calls) == g.n + (metrics.supersteps - 2)
+    # Round 1 runs the n - 1 receivers of init's payloads (vertex 0 gets no
+    # mail, ever); every later round runs only the successor of the vertex
+    # that just dropped.  A full sweep would make n * (supersteps - 1) =
+    # 9900 calls.
+    assert len(calls) == (g.n - 1) + (metrics.supersteps - 2)
+    assert 0 not in calls
 
 
 def _assert_each_payload_arrives_once_in_order(g, logs):
@@ -510,7 +542,7 @@ BLOCK_MODE_COUNTS = {
         [(6, 153, 0), (2, 134, 0)],
     ),
     ("path", "seg", 4): (
-        [(3, 68, 6), (3, 67, 12), (2, 134, 0)],
+        [(3, 68, 6), (2, 67, 12), (2, 134, 0)],
         [(3, 135, 18), (2, 134, 0)],
     ),
 }
