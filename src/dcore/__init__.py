@@ -5,7 +5,13 @@ skyline coreness) executed on a deterministic vertex- or block-centric
 superstep simulator with exact round and message accounting.
 """
 
-from .anchored import anchored_decompose, compute_kmax, compute_lupp, refine
+from .anchored import (
+    anchored_decompose,
+    compute_kmax,
+    compute_kmax_lmax,
+    compute_lupp,
+    refine,
+)
 from .engine import (
     EngineMetrics,
     SuperstepLimitError,
@@ -47,6 +53,7 @@ __all__ = [
     "anchored_decompose",
     "anchored_to_skyline",
     "compute_kmax",
+    "compute_kmax_lmax",
     "compute_lupp",
     "d_index",
     "d_index_over_sets",

@@ -1,32 +1,44 @@
 """Distributed anchored-coreness decomposition in three phases.
 
-Phase I iterates the in-H-index to the in-degree limit kmax(v).  Phase II
-iterates, for every k in [0, kmax(v)] at once, the out-H-index restricted to
-the vertices with kmax >= k, yielding upper bounds on l_max(v, k).  Phase
-III lowers each bound to the largest value its neighbors support.  Every
-tracked scalar only ever decreases, which is what guarantees quiescence.
+Phase I iterates the in-H-index to the in-degree limit kmax(v) and the
+out-H-index to the out-degree limit lmax(v), in shared supersteps, as
+skyline's init does.  Phase II iterates, for every k in [0, kmax(v)] at
+once, the out-H-index restricted to the vertices with kmax >= k, yielding
+upper bounds on l_max(v, k).  Phase III lowers each bound to the largest
+value its neighbors support.  Every tracked scalar only ever decreases,
+which is what guarantees quiescence.
 
 Phases I and II send deltas and keep no copy of any neighbor.  A phase I
 payload is (old, new), and its init message is the delta from "absent",
-old = -1.  A phase II payload is (lo, triples): the k-ascending tuple of
-(k, old, new) triples of the slots that dropped, headed by the smallest
-new among them; its init message is (-1, (out-degree, width)).  Each
-receiver folds the deltas into a clipped histogram per value (per slot k
-in phase II): bucket b counts the neighbors whose value is b, and the top
-bucket, at the vertex's own value, counts every neighbor at or above it.
-That is the counting computeIndex of Montresor, De Pellegrini and
-Miorandi (TPDS 2013).  A delta whose new value is at or above the
-receiver's value would move a count from the top bucket back into it, so
-the receiver skips it; in phase II a whole payload is skipped when lo is
-at or above the receiver's slot 0, the largest of its slots.  A value can
-only drop when its top bucket falls short of it; it then walks down the
-buckets to the new H-index, folding the ones it passes into the new top.
-So every decision to lower a value, and with it every emitted value,
-superstep and message, is the one a full rescan would make.  Deltas rely
-on the engine's contract: every payload reaches each recipient exactly
-once, and one sender's payloads arrive in the order it emitted them.
-Histograms are sums over senders, so the order between senders is
-irrelevant.
+old = -1.  Each receiver folds the deltas into a clipped histogram per
+value (per slot k in phase II): bucket b counts the neighbors whose value
+is b, and the top bucket, at the vertex's own value, counts every neighbor
+at or above it.  That is the counting computeIndex of Montresor, De
+Pellegrini and Miorandi (TPDS 2013).  A delta whose new value is at or
+above the receiver's value would move a count from the top bucket back
+into it, so the receiver skips it.  A value can only drop when its top
+bucket falls short of it; it then walks down the buckets to the new
+H-index, folding the ones it passes into the new top.  So every decision
+to lower a value, and with it every emitted value, superstep and message,
+is the one a full rescan would make.  Deltas rely on the engine's
+contract: every payload reaches each recipient exactly once, and one
+sender's payloads arrive in the order it emitted them.  Histograms are
+sums over senders, so the order between senders is irrelevant.
+
+Vertex values persist between phases, as in Pregel (Malewicz et al.,
+SIGMOD 2010), so phase II starts every slot of v at lmax(v), with a copy
+of the histogram that phase I's lmax fixpoint ended with.  l_upp(v, k) is
+the out-core number of v in G[k], which is inside G, so it is at most
+lmax(v), and the descent from there ends at the same l_upp as one from
+the out-degree.  The copies count every out-neighbor in every slot; the
+one init message, (-1, (lmax, width)) with width = kmax + 1, takes its
+sender out of the slots past kmax.  Only a vertex with an in-neighbor of
+larger kmax sends it, which phase I's kmax program knows from its count
+of in-neighbors strictly above it.  After init a phase II payload is
+(lo, triples): the k-ascending tuple of (k, old, new) triples of the
+slots that dropped, headed by the smallest new among them; a whole
+payload is skipped when lo is at or above the receiver's slot 0, the
+largest of its slots.
 
 Phase III is RowProgram, the program of the skyline D-index started from
 the l_upp arrays instead of a (kmax, lmax) box.  Row k of a flat in- and
@@ -42,7 +54,7 @@ that falls several steps sends one triple in one superstep.
 
 from __future__ import annotations
 
-from .engine import EngineMetrics, VertexProgram, run_program
+from .engine import EngineMetrics, VertexProgram, run_program, run_programs
 from .graph import DirectedGraph, PartitionMap
 # No program here calls h_index any more; benchmarks/tracer.py still counts
 # calls through this module attribute, so it stays importable.
@@ -129,6 +141,87 @@ class HIndexFixpoint(VertexProgram):
         return st.value
 
 
+class _KState:
+    __slots__ = ("value", "hist", "above")
+
+
+class KmaxFixpoint(HIndexFixpoint):
+    """The kmax fixpoint that also counts the in-neighbors strictly above it.
+
+    above is the number of in-neighbors whose last delivered value exceeds
+    the vertex's own.  The fold keeps it: an init delivery with new > value
+    adds one, a delta with old > value >= new takes one away.  When the
+    value drops from old to h, the count becomes sum(hist[h + 1 : old + 1]),
+    the neighbors in the buckets above h, which _lower leaves untouched.
+    At the fixpoint, above > 0 exactly when some in-neighbor has a larger
+    kmax, which is when phase II must exclude the vertex from its
+    in-neighbors' higher slots.  extract returns (kmax, above > 0).
+    Skyline's init does not need the count, so it runs HIndexFixpoint.
+    """
+
+    def __init__(self):
+        super().__init__("in")
+
+    def init(self, v, g):
+        st = _KState()
+        st.value = len(g.in_adj[v])
+        st.hist = [0] * (st.value + 1)
+        st.above = 0
+        return st, (-1, st.value)
+
+    def on_broadcast(self, targets, sender, payload):
+        old, new = payload
+        if old < 0:
+            for st in targets:
+                top = st.value
+                if new > top:
+                    st.hist[top] += 1
+                    st.above += 1
+                else:
+                    st.hist[new] += 1
+            return
+        for st in targets:
+            top = st.value
+            if new < top:
+                hist = st.hist
+                if old > top:
+                    hist[top] -= 1
+                    st.above -= 1
+                else:
+                    hist[old] -= 1
+                hist[new] += 1
+            elif new == top < old:
+                st.above -= 1
+
+    def after_messages(self, st, v, g):
+        old = st.value
+        h = _lower(st.hist, 0, old)
+        if h < old:
+            st.value = h
+            st.above = sum(st.hist[h + 1 : old + 1])
+            return (old, h)
+        return None
+
+    def extract(self, st, v, g):
+        return st.value, st.above > 0
+
+
+class LmaxHistogram(HIndexFixpoint):
+    """The lmax fixpoint, extracting each vertex's final histogram.
+
+    extract cuts hist down to hist[0..lmax] in place and returns it:
+    bucket b < lmax counts the out-neighbors whose lmax is b, and bucket
+    lmax those at or above it.
+    """
+
+    def __init__(self):
+        super().__init__("out")
+
+    def extract(self, st, v, g):
+        del st.hist[st.value + 1 :]
+        return st.hist
+
+
 class _LuppState:
     __slots__ = ("arr", "stride", "hist", "flags")
 
@@ -139,55 +232,74 @@ class LuppProgram(VertexProgram):
     The k-th slot of a vertex's array lives in the subgraph induced by
     {u : kmax(u) >= k}; that restriction holds because a vertex sends
     triples only for its own slots and ignores those beyond them, so G[k] is
-    never materialized.  Arrays
-    start from the full-graph out-degree, a valid upper bound that converges
-    to the same fixpoint.
+    never materialized.
 
-    A payload is (lo, triples): the k-ascending tuple of (k, old, new)
-    triples of the slots that dropped, headed by lo, the smallest new among
-    them.  hist holds one clipped histogram per slot, as in HIndexFixpoint,
-    of the out-neighbors' values there; slot k's starts at k * stride, with
-    stride = out-degree + 1.  arr is always non-increasing in k, since
-    G[k + 1] is inside G[k] and each payload carries all of its sender's
-    drops, so arr[0] is the largest slot.  A receiver with lo >= arr[0]
-    returns at once: every triple then has old > new >= arr[k], so it would
-    only move a count from the top bucket of its slot back into it.
+    seeds[v] is phase I's (kmax, excludes, hist) for v, with hist v's final
+    lmax histogram (compute_kmax_lmax).  Every slot starts at lmax(v) and
+    its histogram is a copy of hist, with stride = lmax + 1: vertex values
+    persist between phases, as in Pregel.  That start is valid because
+    l_upp(v, k), the out-core number of v in G[k], is at most lmax(v), and
+    the box of lmax values is a pre-fixpoint of every slot's out-H-index
+    (G[k] is inside G), so the descent from it ends at the same l_upp as
+    one from the out-degree.  init takes seeds[v] out of the list, so
+    phase I's histograms are freed as they are copied and a LuppProgram
+    runs once.
 
-    The init message is (-1, (out-degree, width)), width = kmax + 1.  At
-    init every slot of the receiver holds its own out-degree, so the sender
-    counts in bucket min(deg_u, deg_v) of each slot k < min(width_u,
-    width_v), which one strided loop adds.  flags is a bitmask of slots:
-    all are set at init; after that a message sets bit k only when it
-    leaves slot k's top bucket short of arr[k].  after_messages lowers each
-    flagged slot to its H-index, in ascending k.
+    The copies count every out-neighbor in every slot, so the one init
+    message, (-1, (lmax, width)) with width = kmax + 1, takes the sender
+    out of the slots it is not in: the receiver subtracts one from bucket
+    min(lmax_v, lmax_u) of slots width_v..kmax(u), and flags the slots
+    whose top bucket falls short.  Only a vertex with an in-neighbor of
+    larger kmax (excludes) sends it; a vertex that neither an exclusion nor
+    a drop reaches never runs.
+
+    After init a payload is (lo, triples): the k-ascending tuple of (k,
+    old, new) triples of the slots that dropped, headed by lo, the smallest
+    new among them.  hist holds one clipped histogram per slot, as in
+    HIndexFixpoint, of the out-neighbors' values there; slot k's starts at
+    k * stride.  arr is always non-increasing in k, since G[k + 1] is
+    inside G[k] and each payload carries all of its sender's drops, so
+    arr[0] is the largest slot.  A receiver with lo >= arr[0] returns at
+    once: every triple then has old > new >= arr[k], so it would only move
+    a count from the top bucket of its slot back into it.  flags is a
+    bitmask of slots: a message sets bit k only when it leaves slot k's top
+    bucket short of arr[k].  after_messages lowers each flagged slot to its
+    H-index, in ascending k.
     """
 
     broadcast = "in"
 
-    def __init__(self, kmaxes: list[int]):
-        self.kmaxes = kmaxes
+    def __init__(self, seeds: list):
+        self.seeds = seeds
 
     def init(self, v, g):
+        kmax, excludes, hist = self.seeds[v]
+        self.seeds[v] = None
         st = _LuppState()
-        width = self.kmaxes[v] + 1
-        deg = g.out_degree(v)
-        st.arr = [deg] * width
-        st.stride = deg + 1
-        st.hist = [0] * (width * st.stride)
-        st.flags = (1 << width) - 1
-        return st, (-1, (deg, width))
+        width, lmax = kmax + 1, len(hist) - 1
+        st.arr = [lmax] * width
+        st.stride = lmax + 1
+        st.hist = hist * width
+        st.flags = 0
+        return st, ((-1, (lmax, width)) if excludes else None)
 
     def on_broadcast(self, targets, sender, payload):
         lo, body = payload
         if lo < 0:
-            # init: every slot of a target still holds its out-degree
-            deg, width = body
+            # init: every slot of a target still holds its lmax
+            lmax, width = body
             for st in targets:
-                top, stride = st.arr[0], st.stride
-                end = min(width, len(st.arr)) * stride
-                hist = st.hist
-                for i in range(deg if deg < top else top, end, stride):
-                    hist[i] += 1
+                arr, stride, hist = st.arr, st.stride, st.hist
+                top = arr[0]
+                b = lmax if lmax < top else top
+                for i in range(width * stride + b, len(hist), stride):
+                    hist[i] -= 1
+                if b == top:
+                    flags = st.flags
+                    for k in range(width, len(arr)):
+                        if hist[k * stride + top] < top:
+                            flags |= 1 << k
+                    st.flags = flags
             return
         for st in targets:
             if lo >= st.arr[0]:
@@ -413,19 +525,43 @@ def compute_kmax(
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[list[int], EngineMetrics]:
-    """Per-vertex kmax(v) = max{k : v in the (k, 0)-core}."""
-    return run_program(HIndexFixpoint("in"), g, parts, mode, phase="phase I", **kwargs)
+    """Per-vertex kmax(v) = max{k : v in the (k, 0)-core}, run alone.
+
+    anchored_decompose computes kmax together with lmax (compute_kmax_lmax).
+    """
+    return run_program(HIndexFixpoint("in"), g, parts, mode, phase="kmax", **kwargs)
+
+
+def compute_kmax_lmax(
+    g: DirectedGraph,
+    parts: PartitionMap | None = None,
+    mode: str = "vertex",
+    **kwargs,
+) -> tuple[list[tuple[int, bool, list[int]]], EngineMetrics]:
+    """Phase I: the kmax and lmax fixpoints in shared supersteps.
+
+    Returns one seed per vertex for compute_lupp: (kmax, whether some
+    in-neighbor has a larger kmax, the final lmax histogram hist[0..lmax]).
+    """
+    (kmaxes, hists), metrics = run_programs(
+        (KmaxFixpoint(), LmaxHistogram()), g, parts, mode, phase="phase I", **kwargs
+    )
+    return [(k, excludes, hist) for (k, excludes), hist in zip(kmaxes, hists)], metrics
 
 
 def compute_lupp(
     g: DirectedGraph,
-    kmaxes: list[int],
+    seeds: list[tuple[int, bool, list[int]]],
     parts: PartitionMap | None = None,
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[list[list[int]], EngineMetrics]:
-    """Per-vertex upper-bound arrays l_upp(k, v) for k in [0, kmax(v)]."""
-    return run_program(LuppProgram(kmaxes), g, parts, mode, phase="phase II", **kwargs)
+    """Per-vertex upper-bound arrays l_upp(k, v) for k in [0, kmax(v)].
+
+    seeds is compute_kmax_lmax's result; each entry is set to None once
+    its vertex is seeded.
+    """
+    return run_program(LuppProgram(seeds), g, parts, mode, phase="phase II", **kwargs)
 
 
 def refine(
@@ -449,7 +585,7 @@ def anchored_decompose(
     **kwargs,
 ) -> tuple[AnchoredTable, list[EngineMetrics]]:
     """Run the three phases back to back; equals peel_decompose exactly."""
-    kmaxes, m1 = compute_kmax(g, parts, mode, **kwargs)
-    lupps, m2 = compute_lupp(g, kmaxes, parts, mode, **kwargs)
+    seeds, m1 = compute_kmax_lmax(g, parts, mode, **kwargs)
+    lupps, m2 = compute_lupp(g, seeds, parts, mode, **kwargs)
     table, m3 = refine(g, lupps, parts, mode, **kwargs)
     return table, [m1, m2, m3]

@@ -176,7 +176,9 @@ def cmd_bench(args) -> int:
     g = _load_graph(args.input)
     algos = _parse_list(args.algos, ALGOS, "algo")
     modes = _parse_list(args.modes, MODES, "mode")
-    blocks_list = [_positive_int(b, "--blocks") for b in args.blocks.split(",")]
+    blocks_list = _no_repeats(
+        [_positive_int(b, "--blocks") for b in args.blocks.split(",")], "--blocks value"
+    )
     repeat = _positive_int(args.repeat, "--repeat")
     # (mode, blocks, partitioner): only block mode takes a partition
     configs = []
@@ -241,6 +243,16 @@ def _parse_list(raw: str, allowed, kind: str) -> list[str]:
             raise CliError(f"unknown {kind} {item!r}")
     if not items:
         raise CliError(f"empty {kind} list")
+    return _no_repeats(items, kind)
+
+
+def _no_repeats(items: list, kind: str) -> list:
+    """items unchanged; a repeated entry would print a duplicate bench row."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise CliError(f"repeated {kind} {item!r}")
+        seen.add(item)
     return items
 
 

@@ -39,7 +39,7 @@ vertex.  Init is every vertex's first step.  After init, a round hands each
 payload in its inbox to its recipients, then runs the vertices that got
 one; a superstep's first inbox is the held mail.  So after_messages must
 return None when nothing was folded into the state since init or its last
-call, and a vertex that no init payload reaches keeps its init state.  The
+call, and a vertex that no payload reaches keeps its init state.  The
 programs in this package change state only by folding messages and emit
 only on change, which satisfies this; results and metrics then equal those
 of sweeping every vertex in every round.

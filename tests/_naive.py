@@ -251,24 +251,38 @@ class _ArrayState:
 
 
 class NaiveLuppProgram(VertexProgram):
-    """Phase II recomputing the out-H-index of every flagged slot from scratch."""
+    """Phase II recomputing the out-H-index of every flagged slot from scratch.
+
+    Every slot starts at lmax(v), and each vertex starts out knowing its
+    out-neighbors' start arrays, [lmax(u)] * (kmax(u) + 1), as the
+    production program knows them through its copy of the lmax histogram.
+    A vertex with an in-neighbor of larger kmax sends its array at init,
+    and a receiver flags every slot past the sender's last; after that a
+    payload is the sender's array and the slots that dropped.
+    """
 
     broadcast = "in"
 
-    def __init__(self, kmaxes):
-        self.kmaxes = kmaxes
+    def __init__(self, kmaxes, lmaxes):
+        self.kmaxes, self.lmaxes = kmaxes, lmaxes
+
+    def _start(self, v):
+        return [self.lmaxes[v]] * (self.kmaxes[v] + 1)
 
     def init(self, v, g):
         st = _ArrayState()
-        width = self.kmaxes[v] + 1
-        st.arr = [len(g.out_adj[v])] * width
-        st.nbr = {}
-        st.flags = set(range(width))
-        return st, (tuple(st.arr), tuple(range(width)))
+        st.arr = self._start(v)
+        st.nbr = {u: tuple(self._start(u)) for u in g.out_adj[v]}
+        st.flags = set()
+        if any(self.kmaxes[u] > self.kmaxes[v] for u in g.in_adj[v]):
+            return st, (tuple(st.arr), ())
+        return st, None
 
     def on_message(self, st, sender, payload):
         vals, changed = payload
         st.nbr[sender] = vals
+        if not changed:  # init: the sender is not in the slots past its own
+            st.flags.update(range(len(vals), len(st.arr)))
         for k in changed:
             if k < len(st.arr) and vals[k] < st.arr[k]:
                 st.flags.add(k)
@@ -278,9 +292,7 @@ class NaiveLuppProgram(VertexProgram):
             return None
         changed = []
         for k in sorted(st.flags):
-            vals = [
-                st.nbr[u][k] for u in g.out_adj[v] if u in st.nbr and k < len(st.nbr[u])
-            ]
+            vals = [st.nbr[u][k] for u in g.out_adj[v] if k < len(st.nbr[u])]
             h = naive_h_index(vals)
             if h < st.arr[k]:
                 st.arr[k] = h

@@ -174,20 +174,22 @@ class DeliveryLog:
         self.count = 0
 
 
-def record_deliveries(program) -> DeliveryLog:
+def record_deliveries(program, start=None) -> DeliveryLog:
     """Record, per receiving state, the last value each sender delivered.
 
     Wraps program.on_broadcast and checks each recipient state of each
     call before forwarding them all, as a list, to the program.  Values are
     ints for (old, new) payloads and dicts {k: value} for payloads of
     (k, old, new) triples.  Those come bare (RowProgram) or
-    headed by lo, the smallest new among them (phase II), whose init
-    message (-1, (deg, width)) stands for (k, -1, deg) for every k < width.
+    headed by lo, the smallest new among them (phase II).  Phase II's init
+    message (-1, (lmax, width)) removes its sender from the receiver's
+    slots width.. and carries no value: every sender u starts at
+    start[u] in each of its slots, and a slot it never sent stays there.
     A bare init triple (k, -1, value) stands for (j, -1, value) for every
     j after the previous triple's k up to k.  A triple's old
-    must equal the value recorded before it (-1 when absent), which checks
-    that every delta arrives exactly once and in order, and a header must
-    equal the minimum new of its triples.
+    must equal the value recorded before it (start[sender], or -1 when
+    start is None), which checks that every delta arrives exactly once and
+    in order, and a header must equal the minimum new of its triples.
     """
     log = DeliveryLog()
     hook = program.on_broadcast
@@ -203,8 +205,9 @@ def record_deliveries(program) -> DeliveryLog:
                 seen[sender] = new
             else:
                 slots = seen.setdefault(sender, {})
+                before = -1 if start is None else start[sender]
                 for k, old, new in _delta_triples(payload):
-                    assert slots.get(k, -1) == old, (sender, k, payload)
+                    assert slots.get(k, before) == old, (sender, k, payload)
                     slots[k] = new
         hook(targets, sender, payload)
 
@@ -225,8 +228,7 @@ def _delta_triples(payload):
         return runs
     lo, body = payload
     if lo < 0:
-        deg, width = body
-        return [(k, -1, deg) for k in range(width)]
+        return []
     assert lo == min(new for _, _, new in body), payload
     return body
 

@@ -15,6 +15,7 @@ from dcore.anchored import (
     RowProgram,
     anchored_decompose,
     compute_kmax,
+    compute_kmax_lmax,
 )
 from dcore.engine import default_superstep_cap, run_program
 from dcore.graph import generate_random_digraph, make_partition, parse_edge_list
@@ -61,7 +62,7 @@ def test_criterion_2_fixture_reproduction(ref8):
     ok_k = kmaxes == REF8_KMAX
     from dcore.anchored import compute_lupp, refine
 
-    lupps, _ = compute_lupp(ref8, kmaxes)
+    lupps, _ = compute_lupp(ref8, compute_kmax_lmax(ref8)[0])
     ok_l = lupps == REF8_LUPP and lupps[7] == [1, 1, 0]
     table, _ = refine(ref8, lupps)
     ok_r = table.rows == REF8_LMAX and table.rows[6] == [2, 1]
@@ -154,7 +155,7 @@ def test_criterion_4_invariant_suites(ref8):
 
         snaps = []
         lupps, _ = run_program(
-            LuppProgram(kmaxes),
+            LuppProgram(compute_kmax_lmax(g)[0]),
             g,
             observer=lambda _, s: snaps.append([list(x.arr) for x in s]),
         )

@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 
 from dcore.anchored import (
     HIndexFixpoint,
+    KmaxFixpoint,
+    LmaxHistogram,
     LuppProgram,
     RowProgram,
     anchored_decompose,
     compute_kmax,
+    compute_kmax_lmax,
     compute_lupp,
     refine,
 )
-from dcore.engine import default_superstep_cap, run_program
+from dcore.engine import default_superstep_cap, run_program, run_programs
 from dcore.graph import build_graph, generate_random_digraph, make_partition
 from dcore.peel import anchored_to_skyline, dcore, peel_decompose
 
@@ -32,6 +35,16 @@ from conftest import (
     reversed_graph,
     transposed,
 )
+
+
+def _phase_one(g):
+    """Phase I's seeds, and the kmax and lmax lists read off them."""
+    seeds, _ = compute_kmax_lmax(g)
+    return seeds, [k for k, _, _ in seeds], [len(hist) - 1 for _, _, hist in seeds]
+
+
+def _lupps(g):
+    return compute_lupp(g, compute_kmax_lmax(g)[0])[0]
 
 
 def test_phase1_ref8_trace(ref8):
@@ -57,8 +70,7 @@ def test_phase1_matches_oracle_core_sweep():
 
 
 def test_phase2_ref8_rows(ref8):
-    kmaxes, _ = compute_kmax(ref8)
-    lupps, _ = compute_lupp(ref8, kmaxes)
+    lupps = _lupps(ref8)
     assert lupps == REF8_LUPP
     assert lupps[7] == [1, 1, 0]
     assert lupps[0] == [2, 2, 2]
@@ -67,8 +79,7 @@ def test_phase2_ref8_rows(ref8):
 def test_phase2_upper_bounds_dominate_oracle():
     for seed in (1, 5, 9):
         g = generate_random_digraph(45, 0.15, seed=seed)
-        kmaxes, _ = compute_kmax(g)
-        lupps, _ = compute_lupp(g, kmaxes)
+        lupps = _lupps(g)
         table = peel_decompose(g)
         for v in range(g.n):
             assert len(lupps[v]) == len(table.rows[v])
@@ -77,9 +88,7 @@ def test_phase2_upper_bounds_dominate_oracle():
 
 
 def test_phase3_ref8_rows(ref8):
-    kmaxes, _ = compute_kmax(ref8)
-    lupps, _ = compute_lupp(ref8, kmaxes)
-    table, _ = refine(ref8, lupps)
+    table, _ = refine(ref8, _lupps(ref8))
     assert table.rows == REF8_LMAX
     assert table.rows[6] == [2, 1]   # v7 refined from [2, 2]
     assert table.rows[0] == [2, 2, 2]  # v1 unchanged
@@ -139,7 +148,7 @@ def test_monotone_descent_all_phases(ref8):
 
         snaps = []
         lupps, _ = run_program(
-            LuppProgram(kmaxes),
+            LuppProgram(compute_kmax_lmax(graph)[0]),
             graph,
             observer=lambda _, states: snaps.append([list(s.arr) for s in states]),
         )
@@ -161,7 +170,7 @@ def test_monotone_descent_all_phases(ref8):
 def test_sandwich_property():
     g = generate_random_digraph(45, 0.12, seed=37)
     kmaxes, _ = compute_kmax(g)
-    lupps, _ = compute_lupp(g, kmaxes)
+    lupps = _lupps(g)
     table = peel_decompose(g)
     for v in range(g.n):
         for k, bound in enumerate(lupps[v]):
@@ -185,7 +194,7 @@ def _raised(g, lupps):
 def test_init_messages_send_one_triple_per_run(source, request):
     g = graph_from(source, request)
     kmaxes, _ = compute_kmax(g)
-    lupps, _ = compute_lupp(g, kmaxes)
+    lupps = _lupps(g)
     for start in (lupps, _raised(g, lupps)):
         program = RowProgram(start)
         for v in range(g.n):
@@ -216,27 +225,28 @@ def _copy(value):
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
 def test_counting_programs_match_from_scratch_every_superstep(source, request):
     g = graph_from(source, request)
-    kmaxes, _ = compute_kmax(g)
-    lupps, _ = compute_lupp(g, kmaxes)
+    seeds, kmaxes, lmaxes = _phase_one(g)
+    lupps = _lupps(g)
     # Out-degree bounds are loose, so phase III walks slots down by long
     # drops and moves many thresholds.
     loose = [[len(g.out_adj[v])] * (kmaxes[v] + 1) for v in range(g.n)]
     raised = _raised(g, lupps)
     pairs = [
-        ("value", HIndexFixpoint("in"), NaiveHIndexFixpoint("in")),
-        ("value", HIndexFixpoint("out"), NaiveHIndexFixpoint("out")),
-        ("arr", LuppProgram(kmaxes), NaiveLuppProgram(kmaxes)),
-        ("arr", RowProgram(lupps), NaiveRefineProgram(lupps)),
-        ("arr", RowProgram(raised), NaiveRefineProgram(raised)),
-        ("arr", RowProgram(loose), NaiveRefineProgram(loose)),
+        ("value", lambda: HIndexFixpoint("in"), NaiveHIndexFixpoint("in")),
+        ("value", lambda: HIndexFixpoint("out"), NaiveHIndexFixpoint("out")),
+        # LuppProgram takes each seed out of its list, so each run gets a copy
+        ("arr", lambda: LuppProgram(list(seeds)), NaiveLuppProgram(kmaxes, lmaxes)),
+        ("arr", lambda: RowProgram(lupps), NaiveRefineProgram(lupps)),
+        ("arr", lambda: RowProgram(raised), NaiveRefineProgram(raised)),
+        ("arr", lambda: RowProgram(loose), NaiveRefineProgram(loose)),
     ]
     for mode, parts in [
         ("vertex", None),
         ("block", make_partition("hash", g, 3)),
         ("block", make_partition("seg", g, 4)),
     ]:
-        for i, (attr, program, naive) in enumerate(pairs):
-            got = _trace(program, g, parts, mode, attr)
+        for i, (attr, make, naive) in enumerate(pairs):
+            got = _trace(make(), g, parts, mode, attr)
             want = _trace(naive, g, parts, mode, attr)
             assert got == want, (i, mode)
     # the loose start still ends at the oracle's rows, and so does the
@@ -283,15 +293,32 @@ def _check_h_histogram(g, states, log):
         assert st.hist[: st.value + 1] == clipped_histogram(delivered, st.value)
 
 
-def _check_lupp_histograms(g, states, log):
-    for st in states:
-        # phase II arrays stay non-increasing in k, so arr[0] is the top slot
-        assert st.arr == sorted(st.arr, reverse=True)
-        delivered = log.last.get(id(st), {}).values()
-        for k, a in enumerate(st.arr):
-            column = [slots[k] for slots in delivered if k in slots]
-            base = k * st.stride
-            assert st.hist[base : base + a + 1] == clipped_histogram(column, a), k
+def _lupp_checker(kmaxes, lmaxes):
+    """Phase II's check against a recount.
+
+    Each vertex starts with every out-neighbor u in every slot, at lmax(u);
+    from the delivery of u's init message on (which starts its record),
+    u is only in slots 0..kmax(u).  A slot stays at lmax(u) until u
+    delivers a drop there.
+    """
+
+    def check(g, states, log):
+        for v, st in enumerate(states):
+            # phase II arrays stay non-increasing in k, so arr[0] is the top slot
+            assert st.arr == sorted(st.arr, reverse=True)
+            delivered = log.last.get(id(st), {})
+            for k, a in enumerate(st.arr):
+                column = [
+                    delivered.get(u, {}).get(k, lmaxes[u])
+                    for u in g.out_adj[v]
+                    if kmaxes[u] >= k or u not in delivered
+                ]
+                base = k * st.stride
+                assert st.hist[base : base + a + 1] == clipped_histogram(column, a), k
+                if not st.flags >> k & 1:
+                    assert st.hist[base + a] >= a, (v, k)
+
+    return check
 
 
 def _check_refine_histograms(g, states, log):
@@ -318,20 +345,20 @@ def test_support_counters_equal_a_recount_after_every_superstep(source, request)
     # delivery the engine counts.  Phase III sums its init counts into
     # histograms in its first round, so it is checked from step 2 on.
     g = graph_from(source, request)
-    kmaxes, _ = compute_kmax(g)
-    lupps, _ = compute_lupp(g, kmaxes)
+    seeds, kmaxes, lmaxes = _phase_one(g)
+    lupps = _lupps(g)
     loose = [[len(g.out_adj[v])] * (kmaxes[v] + 1) for v in range(g.n)]
     for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
         checks = [
             (HIndexFixpoint("in"), _check_h_histogram),
             (HIndexFixpoint("out"), _check_h_histogram),
-            (LuppProgram(kmaxes), _check_lupp_histograms),
+            (LuppProgram(list(seeds)), _lupp_checker(kmaxes, lmaxes)),
             (RowProgram(lupps), _check_refine_histograms),
             (RowProgram(_raised(g, lupps)), _check_refine_histograms),
             (RowProgram(loose), _check_refine_histograms),
         ]
         for program, check in checks:
-            log = record_deliveries(program)
+            log = record_deliveries(program, lmaxes if isinstance(program, LuppProgram) else None)
             steps = []
 
             def observe(step, states, check=check, log=log):
@@ -342,3 +369,80 @@ def test_support_counters_equal_a_recount_after_every_superstep(source, request)
             _, metrics = run_program(program, g, parts, mode, observer=observe)
             assert log.count == metrics.messages_total + metrics.intra_messages
             assert len(steps) > 1
+
+
+def _check_above_counts(states, log):
+    for st in states:
+        delivered = log.last.get(id(st), {}).values()
+        assert st.hist[: st.value + 1] == clipped_histogram(delivered, st.value)
+        assert st.above == sum(1 for x in delivered if x > st.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=drawn_graphs,
+    blocks=st.integers(1, 6),
+    partitioner=st.sampled_from(["hash", "seg"]),
+)
+def test_strictly_above_count_equals_a_recount_after_every_phase1_superstep(
+    g, blocks, partitioner
+):
+    # The count is kept by the fold and reset from the buckets on a drop;
+    # compare it with the in-neighbors whose last delivered value is above
+    # the vertex's own, in phase I's shared supersteps, in both modes.
+    kmaxes = [len(row) - 1 for row in peel_decompose(g).rows]
+    for parts, mode in [(None, "vertex"), (make_partition(partitioner, g, blocks), "block")]:
+        program = KmaxFixpoint()
+        log = record_deliveries(program)
+        steps = []
+
+        def observe(step, states):
+            _check_above_counts(states[0], log)
+            steps.append(step)
+
+        (got, _), metrics = run_programs(
+            (program, LmaxHistogram()), g, parts, mode, observer=observe, phase="phase I"
+        )
+        assert steps and log.count <= metrics.messages_total + metrics.intra_messages
+        assert got == [
+            (kmaxes[v], any(kmaxes[u] > kmaxes[v] for u in g.in_adj[v])) for v in range(g.n)
+        ]
+
+
+def _band(n, forward, backward):
+    return build_graph(
+        n,
+        [
+            (i, j)
+            for i in range(n)
+            for j in range(max(0, i - backward), min(n, i + forward + 1))
+            if j != i
+        ],
+    )
+
+
+def test_phase2_is_silent_when_every_vertex_has_the_same_kmax():
+    # No vertex has an in-neighbor of larger kmax, so no exclusion is sent
+    # and every slot starts at its fixpoint: one superstep, no message.
+    cycle = build_graph(12, [(v, (v + d) % 12) for v in range(12) for d in (1, 11)])
+    for g in (cycle, _band(60, 4, 2)):
+        seeds, kmaxes, _ = _phase_one(g)
+        assert len(set(kmaxes)) == 1
+        lupps, metrics = compute_lupp(g, seeds)
+        assert metrics.messages_per_step == [0]
+        assert lupps == [row[:1] * len(row) for row in peel_decompose(g).rows]
+        parts = make_partition("hash", g, 3)
+        _, m_block = compute_lupp(g, compute_kmax_lmax(g, parts, "block")[0], parts, "block")
+        assert (m_block.messages_per_step, m_block.intra_messages) == ([0], 0)
+
+
+def test_phase2_init_senders_are_the_vertices_below_an_in_neighbor(ref8):
+    seeds, kmaxes, _ = _phase_one(ref8)
+    program = LuppProgram(list(seeds))
+    senders = {v for v in range(ref8.n) if program.init(v, ref8)[1] is not None}
+    want = {v for v in range(ref8.n) if any(kmaxes[u] > kmaxes[v] for u in ref8.in_adj[v])}
+    assert senders == want and senders
+    _, metrics = compute_lupp(ref8, seeds)
+    assert metrics.messages_per_step[0] == sum(len(ref8.in_adj[v]) for v in want)
+    # every seed is taken out of the list once its vertex is seeded
+    assert seeds == [None] * ref8.n

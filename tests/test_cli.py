@@ -10,7 +10,7 @@ import pytest
 
 import dcore
 from dcore import cli, engine
-from dcore.anchored import compute_kmax
+from dcore.anchored import compute_kmax_lmax
 from dcore.cli import main
 from dcore.graph import parse_edge_list, write_edge_list
 
@@ -282,6 +282,21 @@ def _one_line_error(capsys, *needles):
         assert needle in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, needle",
+    [
+        ("--algos", "anchored,anchored", "repeated algo 'anchored'"),
+        ("--algos", "peel,skyline, peel", "repeated algo 'peel'"),
+        ("--modes", "vertex,block,vertex", "repeated mode 'vertex'"),
+        ("--blocks", "2,4,02", "repeated --blocks value 2"),
+    ],
+)
+def test_bench_rejects_a_repeated_entry(ref8_file, capsys, flag, value, needle):
+    # A repeated entry would print the same configuration's row twice.
+    assert main(["bench", str(ref8_file), "--modes", "vertex,block", flag, value]) == 2
+    _one_line_error(capsys, needle)
+
+
 def test_bench_rejects_zero_repeat(ref8_file, capsys):
     assert main(["bench", str(ref8_file), "--repeat", "0"]) == 2
     _one_line_error(capsys, "--repeat")
@@ -295,7 +310,8 @@ def test_bench_rejects_non_integer_blocks(ref8_file, capsys):
 def test_superstep_limit_is_reported_not_raised(
     ref8, ref8_file, tmp_path, capsys, monkeypatch
 ):
-    reached = sum(compute_kmax(ref8)[1].messages_per_step[:2])
+    reached = sum(compute_kmax_lmax(ref8)[1].messages_per_step[:2])
+    assert reached == 48  # phase I runs the kmax and lmax fixpoints together
     monkeypatch.setattr(engine, "default_superstep_cap", lambda g: 2)
     rc = main([
         "decompose", str(ref8_file), "--algo", "anchored", "--out", str(tmp_path / "x.txt"),

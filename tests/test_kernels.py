@@ -103,6 +103,10 @@ def test_hot_kernels_stay_module_attributes_of_the_algorithms(ref8, monkeypatch)
     assert dcore.anchored.run_program is dcore.engine.run_program
     assert dcore.skyline.run_program is dcore.engine.run_program
     assert dcore.skyline.run_programs is dcore.engine.run_programs
+    assert dcore.anchored.run_programs is dcore.engine.run_programs
+    # The tracer still patches compute_kmax, which anchored_decompose no
+    # longer calls: phase I computes kmax and lmax together.
+    assert callable(dcore.anchored.compute_kmax)
     assert callable(dcore.engine._recipients)
     assert callable(dcore.engine.VertexProgram.on_message)
 
@@ -118,12 +122,14 @@ def test_hot_kernels_stay_module_attributes_of_the_algorithms(ref8, monkeypatch)
         monkeypatch.setattr(module, name, wrapped)
 
     spy(dcore.peel, "in_core_numbers")
-    for name in ("compute_kmax", "compute_lupp", "refine"):
+    for name in ("compute_kmax", "compute_kmax_lmax", "compute_lupp", "refine"):
         spy(dcore.anchored, name)
     spy(dcore.skyline, "tight_init")
-    # Skyline's init runs its two fixpoints together through run_programs,
-    # never through the run_program wrapper, which takes one program.
-    spy(dcore.skyline, "run_programs")
+    # Anchored's phase I and skyline's init each run their two fixpoints
+    # together through run_programs, never through the run_program wrapper,
+    # which takes one program.
+    for module in (dcore.anchored, dcore.skyline):
+        spy(module, "run_programs")
 
     # The tracer's wrapper calls run_program positionally with the mode.
     def engine_run(program, g, parts, mode, **kwargs):
@@ -138,7 +144,7 @@ def test_hot_kernels_stay_module_attributes_of_the_algorithms(ref8, monkeypatch)
     skys, skyline_metrics = dcore.skyline.skyline_decompose(ref8, None, "vertex", workers=1)
     assert calls == [
         "in_core_numbers",
-        "compute_kmax", "run_program",
+        "compute_kmax_lmax", "run_programs",
         "compute_lupp", "run_program",
         "refine", "run_program",
         "tight_init", "run_programs",

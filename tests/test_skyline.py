@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcore.anchored import RowProgram, anchored_decompose, compute_kmax, compute_lupp
+from dcore.anchored import RowProgram, anchored_decompose, compute_kmax_lmax, compute_lupp
 from dcore.engine import run_program
 from dcore.graph import build_graph, generate_random_digraph, make_partition
 from dcore.kernels import d_index, d_index_over_sets, is_canonical_skyline
@@ -270,8 +270,7 @@ def test_row_heights_from_the_box_or_the_lupp_arrays_are_the_anchored_table(
     g = graph_from(source, request)
     want = peel_decompose(g).rows
     pairs, _ = tight_init(g)
-    kmaxes, _ = compute_kmax(g)
-    lupps, _ = compute_lupp(g, kmaxes)
+    lupps, _ = compute_lupp(g, compute_kmax_lmax(g)[0])
     for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
         for starts in (boxes(pairs), lupps):
             heights, _ = run_program(RowProgram(starts), g, parts, mode)
