@@ -30,15 +30,13 @@ SIGMOD 2010), so phase II starts every slot of v at lmax(v), with a copy
 of the histogram that phase I's lmax fixpoint ended with.  l_upp(v, k) is
 the out-core number of v in G[k], which is inside G, so it is at most
 lmax(v), and the descent from there ends at the same l_upp as one from
-the out-degree.  The copies count every out-neighbor in every slot; the
-one init message, (-1, (lmax, width)) with width = kmax + 1, takes its
-sender out of the slots past kmax.  Only a vertex with an in-neighbor of
-larger kmax sends it, which phase I's kmax program knows from its count
-of in-neighbors strictly above it.  After init a phase II payload is
-(lo, triples): the k-ascending tuple of (k, old, new) triples of the
-slots that dropped, headed by the smallest new among them; a whole
-payload is skipped when lo is at or above the receiver's slot 0, the
-largest of its slots.
+the out-degree.  A phase II payload is phase III's: the tuple of (k, old,
+new) triples of the slots that dropped.  The copies count every
+out-neighbor in every slot; the one init message, the exclusion (width,
+lmax, -1) with width = kmax + 1, takes its sender out of the slots past
+kmax.  Only a vertex with an in-neighbor of larger kmax sends it, which
+phase I's kmax program knows from its count of in-neighbors strictly
+above it.
 
 Phase III is RowProgram, the program of the skyline D-index started from
 the l_upp arrays instead of a (kmax, lmax) box.  Row k of a flat in- and
@@ -223,7 +221,7 @@ class LmaxHistogram(HIndexFixpoint):
 
 
 class _LuppState:
-    __slots__ = ("arr", "stride", "hist", "flags")
+    __slots__ = ("arr", "stride", "hist")
 
 
 class LuppProgram(VertexProgram):
@@ -245,26 +243,17 @@ class LuppProgram(VertexProgram):
     phase I's histograms are freed as they are copied and a LuppProgram
     runs once.
 
-    The copies count every out-neighbor in every slot, so the one init
-    message, (-1, (lmax, width)) with width = kmax + 1, takes the sender
-    out of the slots it is not in: the receiver subtracts one from bucket
-    min(lmax_v, lmax_u) of slots width_v..kmax(u), and flags the slots
-    whose top bucket falls short.  Only a vertex with an in-neighbor of
+    A payload is RowProgram's: the k-ascending tuple of (k, old, new)
+    triples of the slots that dropped.  hist holds one clipped histogram
+    per slot, as in HIndexFixpoint, of the out-neighbors' values there;
+    slot k's starts at k * stride.  The copies count every out-neighbor in
+    every slot, so the one init message, the exclusion (width, lmax, -1)
+    with width = kmax + 1, takes the sender out of the slots it is not in:
+    new = -1 means "no longer counted here", as in RowProgram's dead row,
+    for every slot from width on.  Only a vertex with an in-neighbor of
     larger kmax (excludes) sends it; a vertex that neither an exclusion nor
-    a drop reaches never runs.
-
-    After init a payload is (lo, triples): the k-ascending tuple of (k,
-    old, new) triples of the slots that dropped, headed by lo, the smallest
-    new among them.  hist holds one clipped histogram per slot, as in
-    HIndexFixpoint, of the out-neighbors' values there; slot k's starts at
-    k * stride.  arr is always non-increasing in k, since G[k + 1] is
-    inside G[k] and each payload carries all of its sender's drops, so
-    arr[0] is the largest slot.  A receiver with lo >= arr[0] returns at
-    once: every triple then has old > new >= arr[k], so it would only move
-    a count from the top bucket of its slot back into it.  flags is a
-    bitmask of slots: a message sets bit k only when it leaves slot k's top
-    bucket short of arr[k].  after_messages lowers each flagged slot to its
-    H-index, in ascending k.
+    a drop reaches never runs.  after_messages lowers every slot whose top
+    bucket falls short to its H-index, in ascending k.
     """
 
     broadcast = "in"
@@ -280,71 +269,35 @@ class LuppProgram(VertexProgram):
         st.arr = [lmax] * width
         st.stride = lmax + 1
         st.hist = hist * width
-        st.flags = 0
-        return st, ((-1, (lmax, width)) if excludes else None)
+        return st, (((width, lmax, -1),) if excludes else None)
 
     def on_broadcast(self, targets, sender, payload):
-        lo, body = payload
-        if lo < 0:
-            # init: every slot of a target still holds its lmax
-            lmax, width = body
-            for st in targets:
-                arr, stride, hist = st.arr, st.stride, st.hist
-                top = arr[0]
-                b = lmax if lmax < top else top
-                for i in range(width * stride + b, len(hist), stride):
-                    hist[i] -= 1
-                if b == top:
-                    flags = st.flags
-                    for k in range(width, len(arr)):
-                        if hist[k * stride + top] < top:
-                            flags |= 1 << k
-                    st.flags = flags
-            return
         for st in targets:
-            if lo >= st.arr[0]:
-                continue
-            arr, hist, stride = st.arr, st.hist, st.stride
+            arr, stride, hist = st.arr, st.stride, st.hist
             width = len(arr)
-            flags = st.flags
-            for k, old, new in body:
+            for k, old, new in payload:
                 if k >= width:
                     break
                 a = arr[k]
-                if new >= a:
-                    continue
-                base = k * stride
-                hist[base + new] += 1
-                if old < a:
-                    hist[base + old] -= 1
-                else:
-                    hist[base + a] -= 1
-                    if hist[base + a] < a:
-                        flags |= 1 << k
-            st.flags = flags
+                if new < 0:
+                    # the exclusion, at init: every slot still holds lmax
+                    b = old if old < a else a
+                    for i in range(k * stride + b, len(hist), stride):
+                        hist[i] -= 1
+                elif new < a:
+                    base = k * stride
+                    hist[base + new] += 1
+                    hist[base + (old if old < a else a)] -= 1
 
     def after_messages(self, st, v, g):
-        flags = st.flags
-        if not flags:
-            return None
-        st.flags = 0
         arr, hist, stride = st.arr, st.hist, st.stride
         changed = []
-        lo = arr[0]
-        while flags:
-            low = flags & -flags
-            flags ^= low
-            k = low.bit_length() - 1
-            a = arr[k]
-            h = _lower(hist, k * stride, a)
-            if h < a:
+        for k, a in enumerate(arr):
+            if hist[k * stride + a] < a:
+                h = _lower(hist, k * stride, a)
                 arr[k] = h
                 changed.append((k, a, h))
-                if h < lo:
-                    lo = h
-        if changed:
-            return (lo, tuple(changed))
-        return None
+        return tuple(changed) or None
 
     def extract(self, st, v, g):
         return list(st.arr)

@@ -46,12 +46,6 @@ class DirectedGraph:
     def num_arcs(self) -> int:
         return sum(len(a) for a in self.out_adj)
 
-    def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
-
     def max_degree(self) -> int:
         if self.n == 0:
             return 0

@@ -180,16 +180,15 @@ def record_deliveries(program, start=None) -> DeliveryLog:
     Wraps program.on_broadcast and checks each recipient state of each
     call before forwarding them all, as a list, to the program.  Values are
     ints for (old, new) payloads and dicts {k: value} for payloads of
-    (k, old, new) triples.  Those come bare (RowProgram) or
-    headed by lo, the smallest new among them (phase II).  Phase II's init
-    message (-1, (lmax, width)) removes its sender from the receiver's
-    slots width.. and carries no value: every sender u starts at
-    start[u] in each of its slots, and a slot it never sent stays there.
-    A bare init triple (k, -1, value) stands for (j, -1, value) for every
-    j after the previous triple's k up to k.  A triple's old
-    must equal the value recorded before it (start[sender], or -1 when
-    start is None), which checks that every delta arrives exactly once and
-    in order, and a header must equal the minimum new of its triples.
+    (k, old, new) triples.  start, given for phase II, is each sender's
+    start value in every one of its slots, and a slot it never sent stays
+    there.  Phase II's exclusion (width, lmax, -1) stands for (j, lmax, -1)
+    for every slot j >= width of the receiver: the sender is no longer
+    counted there.  RowProgram's init triple (k, -1, value) stands for (j,
+    -1, value) for every j after the previous triple's k up to k.  A
+    triple's old must equal the value recorded before it (start[sender],
+    or -1 when start is None), which checks that every delta arrives
+    exactly once and in order.
     """
     log = DeliveryLog()
     hook = program.on_broadcast
@@ -199,14 +198,15 @@ def record_deliveries(program, start=None) -> DeliveryLog:
         log.count += len(targets)
         for state in targets:
             seen = log.last.setdefault(id(state), {})
-            if isinstance(payload[0], int) and isinstance(payload[1], int):
+            if isinstance(payload[0], int):
                 old, new = payload
                 assert seen.get(sender, -1) == old, (sender, payload)
                 seen[sender] = new
             else:
                 slots = seen.setdefault(sender, {})
                 before = -1 if start is None else start[sender]
-                for k, old, new in _delta_triples(payload):
+                count = None if start is None else len(state.arr)
+                for k, old, new in _delta_triples(payload, count):
                     assert slots.get(k, before) == old, (sender, k, payload)
                     slots[k] = new
         hook(targets, sender, payload)
@@ -215,22 +215,23 @@ def record_deliveries(program, start=None) -> DeliveryLog:
     return log
 
 
-def _delta_triples(payload):
-    """The (k, old, new) triples of a bare or lo-headed payload."""
-    if isinstance(payload[0], tuple):
-        if payload[0][1] >= 0:
-            return payload
+def _delta_triples(payload, count=None):
+    """The (k, old, new) triples a payload stands for, one per slot.
+
+    count is the receiver's slot count in phase II, where a triple with
+    new = -1 is the exclusion and covers every slot from its k on.
+    """
+    if payload[0][1] < 0:
         runs, start = [], 0
         for k, old, value in payload:
             assert old == -1 and k >= start, payload
             runs += [(j, -1, value) for j in range(start, k + 1)]
             start = k + 1
         return runs
-    lo, body = payload
-    if lo < 0:
-        return []
-    assert lo == min(new for _, _, new in body), payload
-    return body
+    if count is not None and payload[0][2] < 0:
+        ((k, old, _),) = payload
+        return [(j, old, -1) for j in range(k, count)]
+    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -531,11 +531,30 @@ def _path_with_back_arcs(n):
 
 
 # (supersteps, messages_total, intra_messages) of each phase of
-# anchored_decompose (I, II, III) and skyline_table (init, d-index) in block
-# mode.  The engine-vs-reference tests cannot catch a scheduling rule that
-# moves these, since the reference follows the engine's rule.  Anchored's
-# phase I runs the same two fixpoints as skyline's init, so their counts
-# are equal.
+# anchored_decompose (I, II, III) and skyline_table (init, d-index), in
+# vertex mode per source and in block mode per source and partition.  The
+# engine-vs-reference tests cannot catch a scheduling rule that moves
+# these, since the reference follows the engine's rule.  Anchored's phase I
+# runs the same two fixpoints as skyline's init, so their counts are equal.
+VERTEX_MODE_COUNTS = {
+    (60, 0.12, 2): (
+        [(6, 2295, 0), (14, 385, 0), (3, 812, 0)],
+        [(6, 2295, 0), (9, 1472, 0)],
+    ),
+    (80, 0.1, 3): (
+        [(12, 3737, 0), (3, 43, 0), (10, 2240, 0)],
+        [(12, 3737, 0), (10, 2261, 0)],
+    ),
+    ("pa", 60, 3, 1): (
+        [(10, 758, 0), (4, 79, 0), (2, 342, 0)],
+        [(10, 758, 0), (3, 416, 0)],
+    ),
+    "path": (
+        [(6, 153, 0), (1, 0, 0), (2, 134, 0)],
+        [(6, 153, 0), (2, 134, 0)],
+    ),
+}
+
 BLOCK_MODE_COUNTS = {
     ((60, 0.12, 2), "hash", 3): (
         [(6, 1812, 530), (12, 265, 120), (3, 811, 1)],
@@ -572,9 +591,29 @@ BLOCK_MODE_COUNTS = {
 }
 
 
-def _case_id(source, part, blocks):
+def _case_id(source, part=None, blocks=None):
     name = source if isinstance(source, str) else "-".join(map(str, source))
-    return f"{name}-{part}{blocks}"
+    return name if part is None else f"{name}-{part}{blocks}"
+
+
+def _pinned_graph(source, request):
+    return _path_with_back_arcs(60) if source == "path" else graph_from(source, request)
+
+
+def _assert_phase_counts(g, parts, mode, want_anchored, want_skyline):
+    for algo, names, want in [
+        (anchored_decompose, ["phase I", "phase II", "phase III"], want_anchored),
+        (skyline_table, ["init", "d-index"], want_skyline),
+    ]:
+        _, phases = algo(g, parts, mode)
+        assert [m.phase for m in phases] == names
+        assert [(m.supersteps, m.messages_total, m.intra_messages) for m in phases] == want
+    assert want_anchored[0] == want_skyline[0]
+
+
+@pytest.mark.parametrize("source", list(VERTEX_MODE_COUNTS), ids=map(_case_id, VERTEX_MODE_COUNTS))
+def test_vertex_mode_phase_counts_are_pinned(source, request):
+    _assert_phase_counts(_pinned_graph(source, request), None, "vertex", *VERTEX_MODE_COUNTS[source])
 
 
 @pytest.mark.parametrize(
@@ -583,14 +622,6 @@ def _case_id(source, part, blocks):
     ids=[_case_id(*case) for case in BLOCK_MODE_COUNTS],
 )
 def test_block_mode_phase_counts_are_pinned(source, part, blocks, request):
-    g = _path_with_back_arcs(60) if source == "path" else graph_from(source, request)
+    g = _pinned_graph(source, request)
     parts = make_partition(part, g, blocks)
-    want_anchored, want_skyline = BLOCK_MODE_COUNTS[source, part, blocks]
-    for algo, names, want in [
-        (anchored_decompose, ["phase I", "phase II", "phase III"], want_anchored),
-        (skyline_table, ["init", "d-index"], want_skyline),
-    ]:
-        _, phases = algo(g, parts, "block")
-        assert [m.phase for m in phases] == names
-        assert [(m.supersteps, m.messages_total, m.intra_messages) for m in phases] == want
-    assert want_anchored[0] == want_skyline[0]
+    _assert_phase_counts(g, parts, "block", *BLOCK_MODE_COUNTS[source, part, blocks])
