@@ -22,7 +22,6 @@ from .engine import (
 from .graph import (
     DirectedGraph,
     EdgeListError,
-    PartitionMap,
     generate_random_digraph,
     hash_partition,
     make_partition,
@@ -47,7 +46,6 @@ __all__ = [
     "DirectedGraph",
     "EdgeListError",
     "EngineMetrics",
-    "PartitionMap",
     "SuperstepLimitError",
     "VertexProgram",
     "anchored_decompose",

@@ -10,20 +10,23 @@ which is what guarantees quiescence.
 
 Phases I and II send deltas and keep no copy of any neighbor.  A phase I
 payload is (old, new), and its init message is the delta from "absent",
-old = -1.  Each receiver folds the deltas into a clipped histogram per
-value (per slot k in phase II): bucket b counts the neighbors whose value
-is b, and the top bucket, at the vertex's own value, counts every neighbor
-at or above it.  That is the counting computeIndex of Montresor, De
-Pellegrini and Miorandi (TPDS 2013).  A delta whose new value is at or
-above the receiver's value would move a count from the top bucket back
-into it, so the receiver skips it.  A value can only drop when its top
-bucket falls short of it; it then walks down the buckets to the new
-H-index, folding the ones it passes into the new top.  So every decision
-to lower a value, and with it every emitted value, superstep and message,
-is the one a full rescan would make.  Deltas rely on the engine's
-contract: every payload reaches each recipient exactly once, and one
-sender's payloads arrive in the order it emitted them.  Histograms are
-sums over senders, so the order between senders is irrelevant.
+old = -1.  Each receiver folds the deltas into a histogram per value (per
+slot k in phase II).  In phase I, bucket b <= value counts the neighbors
+whose value is exactly b, and one more bucket, at value + 1, those
+strictly above it.  In phase II a slot's histogram is clipped at its own
+value: bucket b counts the neighbors whose value is b, and the top
+bucket, at the slot's value, every neighbor at or above it.  That is the
+counting computeIndex of Montresor, De Pellegrini and Miorandi (TPDS
+2013).  A delta whose new value is above the receiver's (at or above it,
+in phase II) moves nothing, so the receiver skips it.  A value can only
+drop when the neighbors at or above it fall short of it; it then walks
+down the buckets to the new H-index, and the ones it passes make up the
+new top.  So every decision to lower a value, and with it every emitted
+value, superstep and message, is the one a full rescan would make.
+Deltas rely on the engine's contract: every payload reaches each
+recipient exactly once, and one sender's payloads arrive in the order it
+emitted them.  Histograms are sums over senders, so the order between
+senders is irrelevant.
 
 Vertex values persist between phases, as in Pregel (Malewicz et al.,
 SIGMOD 2010), so phase II starts every slot of v at lmax(v), with a copy
@@ -35,8 +38,7 @@ new) triples of the slots that dropped.  The copies count every
 out-neighbor in every slot; the one init message, the exclusion (width,
 lmax, -1) with width = kmax + 1, takes its sender out of the slots past
 kmax.  Only a vertex with an in-neighbor of larger kmax sends it, which
-phase I's kmax program knows from its count of in-neighbors strictly
-above it.
+phase I's kmax program reads off its strictly-above bucket.
 
 Phase III is RowProgram, the program of the skyline D-index started from
 the l_upp arrays instead of a (kmax, lmax) box.  Row k of a flat in- and
@@ -53,7 +55,7 @@ that falls several steps sends one triple in one superstep.
 from __future__ import annotations
 
 from .engine import EngineMetrics, VertexProgram, run_program, run_programs
-from .graph import DirectedGraph, PartitionMap
+from .graph import DirectedGraph
 # No program here calls h_index any more; benchmarks/tracer.py still counts
 # calls through this module attribute, so it stays importable.
 from .kernels import h_index  # noqa: F401
@@ -93,10 +95,13 @@ class HIndexFixpoint(VertexProgram):
     H-index of a neighbor can fall, so quiescence is a true fixpoint.
 
     The payload is the delta (old, new) of the sender's value; init sends
-    (-1, degree).  For b <= value, hist[b] counts the neighbors whose value
-    is b, clipped to value, so hist[value] counts those at or above it.
-    The H-index is never above value, so a vertex lowers it only when
-    hist[value] < value, by walking the buckets down.
+    (-1, degree).  hist has value + 2 buckets: for b <= value, hist[b]
+    counts the neighbors whose value is exactly b, and hist[value + 1]
+    those strictly above value.  A delta moves a count only when new <=
+    value; otherwise both ends lie in the top bucket.  The H-index is never
+    above value, so a vertex lowers it only when hist[value] + hist[value
+    + 1] < value, by walking the buckets down to the new value h and
+    writing the count above h into hist[h + 1].
     """
 
     def __init__(self, consume: str = "in"):
@@ -108,116 +113,73 @@ class HIndexFixpoint(VertexProgram):
     def init(self, v, g):
         st = _HState()
         st.value = len(g.in_adj[v] if self.consume == "in" else g.out_adj[v])
-        st.hist = [0] * (st.value + 1)
+        st.hist = [0] * (st.value + 2)
         return st, (-1, st.value)
 
     def on_broadcast(self, targets, sender, payload):
         old, new = payload
         if old < 0:
-            # init: count the sender in bucket new, clipped to the top
+            # init: count the sender in bucket new, clipped above the value
             for st in targets:
                 top = st.value
-                st.hist[new if new < top else top] += 1
+                st.hist[new if new <= top else top + 1] += 1
             return
         for st in targets:
             top = st.value
-            if new < top:
-                # else old > new >= top: both clip to the top bucket
+            if new <= top:
+                # else old > new > top: both lie in the top bucket
                 hist = st.hist
-                hist[old if old < top else top] -= 1
+                hist[old if old <= top else top + 1] -= 1
                 hist[new] += 1
 
     def after_messages(self, st, v, g):
-        old = st.value
-        h = _lower(st.hist, 0, old)
-        if h < old:
-            st.value = h
-            return (old, h)
-        return None
+        old = h = st.value
+        hist = st.hist
+        c = hist[h] + hist[h + 1]
+        if c >= h:
+            return None
+        while c < h:
+            h -= 1
+            c += hist[h]
+        hist[h + 1] = c - hist[h]
+        st.value = h
+        return (old, h)
 
     def extract(self, st, v, g):
         return st.value
 
 
-class _KState:
-    __slots__ = ("value", "hist", "above")
-
-
 class KmaxFixpoint(HIndexFixpoint):
-    """The kmax fixpoint that also counts the in-neighbors strictly above it.
+    """The kmax fixpoint, extracting (kmax, some in-neighbor is above it).
 
-    above is the number of in-neighbors whose last delivered value exceeds
-    the vertex's own.  The fold keeps it: an init delivery with new > value
-    adds one, a delta with old > value >= new takes one away.  When the
-    value drops from old to h, the count becomes sum(hist[h + 1 : old + 1]),
-    the neighbors in the buckets above h, which _lower leaves untouched.
-    At the fixpoint, above > 0 exactly when some in-neighbor has a larger
-    kmax, which is when phase II must exclude the vertex from its
-    in-neighbors' higher slots.  extract returns (kmax, above > 0).
-    Skyline's init does not need the count, so it runs HIndexFixpoint.
+    At the fixpoint the top bucket counts the in-neighbors of larger kmax;
+    phase II must take the vertex out of their slots past its own kmax.
+    Skyline's init does not need that, so it runs HIndexFixpoint.
     """
 
     def __init__(self):
         super().__init__("in")
 
-    def init(self, v, g):
-        st = _KState()
-        st.value = len(g.in_adj[v])
-        st.hist = [0] * (st.value + 1)
-        st.above = 0
-        return st, (-1, st.value)
-
-    def on_broadcast(self, targets, sender, payload):
-        old, new = payload
-        if old < 0:
-            for st in targets:
-                top = st.value
-                if new > top:
-                    st.hist[top] += 1
-                    st.above += 1
-                else:
-                    st.hist[new] += 1
-            return
-        for st in targets:
-            top = st.value
-            if new < top:
-                hist = st.hist
-                if old > top:
-                    hist[top] -= 1
-                    st.above -= 1
-                else:
-                    hist[old] -= 1
-                hist[new] += 1
-            elif new == top < old:
-                st.above -= 1
-
-    def after_messages(self, st, v, g):
-        old = st.value
-        h = _lower(st.hist, 0, old)
-        if h < old:
-            st.value = h
-            st.above = sum(st.hist[h + 1 : old + 1])
-            return (old, h)
-        return None
-
     def extract(self, st, v, g):
-        return st.value, st.above > 0
+        return st.value, st.hist[st.value + 1] > 0
 
 
 class LmaxHistogram(HIndexFixpoint):
     """The lmax fixpoint, extracting each vertex's final histogram.
 
-    extract cuts hist down to hist[0..lmax] in place and returns it:
-    bucket b < lmax counts the out-neighbors whose lmax is b, and bucket
-    lmax those at or above it.
+    extract merges the top two buckets and cuts hist down to hist[0..lmax]
+    in place, then returns it: bucket b < lmax counts the out-neighbors
+    whose lmax is b, and bucket lmax those at or above it.
     """
 
     def __init__(self):
         super().__init__("out")
 
     def extract(self, st, v, g):
-        del st.hist[st.value + 1 :]
-        return st.hist
+        hist, top = st.hist, st.value
+        hist[top] += hist[top + 1]
+        del hist[top + 1 :]
+        return hist
 
 
 class _LuppState:
@@ -474,7 +436,7 @@ class RowProgram(VertexProgram):
 
 def compute_kmax(
     g: DirectedGraph,
-    parts: PartitionMap | None = None,
+    parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[list[int], EngineMetrics]:
@@ -487,7 +449,7 @@ def compute_kmax(
 
 def compute_kmax_lmax(
     g: DirectedGraph,
-    parts: PartitionMap | None = None,
+    parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[list[tuple[int, bool, list[int]]], EngineMetrics]:
@@ -505,7 +467,7 @@ def compute_kmax_lmax(
 def compute_lupp(
     g: DirectedGraph,
     seeds: list[tuple[int, bool, list[int]]],
-    parts: PartitionMap | None = None,
+    parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[list[list[int]], EngineMetrics]:
@@ -520,7 +482,7 @@ def compute_lupp(
 def refine(
     g: DirectedGraph,
     lupps: list[list[int]],
-    parts: PartitionMap | None = None,
+    parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[AnchoredTable, EngineMetrics]:
@@ -533,7 +495,7 @@ def refine(
 
 def anchored_decompose(
     g: DirectedGraph,
-    parts: PartitionMap | None = None,
+    parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[AnchoredTable, list[EngineMetrics]]:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DirectedGraph, PartitionMap
+from .graph import DirectedGraph
 
 MODES = ("vertex", "block")
 
@@ -218,7 +218,7 @@ class _Run:
 def run_programs(
     programs,
     g: DirectedGraph,
-    parts: PartitionMap | None = None,
+    parts: list[int] | None = None,
     mode: str = "vertex",
     *,
     workers: int = 1,
@@ -234,7 +234,8 @@ def run_programs(
     run ends, and intra_messages the sum of theirs; so supersteps is the
     longest run's.
 
-    mode "block" needs parts and holds only cross-block messages; a block's
+    parts[v] is the block of vertex v, as hash_partition returns it.  mode
+    "block" needs parts and holds only cross-block messages; a block's
     superstep ends after its first round that sends nothing inside it.
     messages_per_step counts the initial broadcast plus cross-block traffic
     and intra_messages the deliveries kept inside a block after init.  mode
@@ -254,7 +255,7 @@ def run_programs(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "block" and parts is None:
         raise ValueError("block mode requires a partition")
-    block_of = parts.block_of if mode == "block" else None
+    block_of = parts if mode == "block" else None
     cap = default_superstep_cap(g)
     runs = [_Run(program, g, block_of, cap) for program in programs]
     states = [run.states for run in runs]
@@ -292,7 +293,7 @@ def run_programs(
 def run_program(
     program: VertexProgram,
     g: DirectedGraph,
-    parts: PartitionMap | None = None,
+    parts: list[int] | None = None,
     mode: str = "vertex",
     *,
     observer=None,

@@ -189,35 +189,27 @@ def write_edge_list(g: DirectedGraph, path) -> None:
                 fh.write(f"{g.labels[u]} {g.labels[v]}\n")
 
 
-@dataclass
-class PartitionMap:
-    """Assignment of every vertex to one of n_blocks blocks."""
-
-    n_blocks: int
-    block_of: list[int]
-
-
-def hash_partition(g: DirectedGraph, n_blocks: int) -> PartitionMap:
-    """Block i gets the vertices with v_id % n_blocks == i."""
+def hash_partition(g: DirectedGraph, n_blocks: int) -> list[int]:
+    """The block of every vertex: block i gets the v with v % n_blocks == i."""
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
-    return PartitionMap(n_blocks, [v % n_blocks for v in range(g.n)])
+    return [v % n_blocks for v in range(g.n)]
 
 
-def segment_partition(g: DirectedGraph, n_blocks: int) -> PartitionMap:
-    """Contiguous ID ranges of size ceil(n / n_blocks) per block."""
+def segment_partition(g: DirectedGraph, n_blocks: int) -> list[int]:
+    """The block of every vertex: contiguous ID ranges of size ceil(n / n_blocks)."""
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
     if g.n == 0:
-        return PartitionMap(n_blocks, [])
+        return []
     cap = -(-g.n // n_blocks)
-    return PartitionMap(n_blocks, [v // cap for v in range(g.n)])
+    return [v // cap for v in range(g.n)]
 
 
 PARTITIONERS = {"hash": hash_partition, "seg": segment_partition}
 
 
-def make_partition(name: str, g: DirectedGraph, n_blocks: int) -> PartitionMap:
+def make_partition(name: str, g: DirectedGraph, n_blocks: int) -> list[int]:
     try:
         fn = PARTITIONERS[name]
     except KeyError:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .anchored import HIndexFixpoint, RowProgram
 from .engine import EngineMetrics, run_program, run_programs
-from .graph import DirectedGraph, PartitionMap
+from .graph import DirectedGraph
 from .kernels import Pair
 from .peel import AnchoredTable, anchored_to_skyline
 # No program here calls d_index_over_sets; benchmarks/tracer.py still counts
@@ -32,7 +32,7 @@ from .kernels import d_index_over_sets  # noqa: F401
 
 def tight_init(
     g: DirectedGraph,
-    parts: PartitionMap | None = None,
+    parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[list[Pair], list[EngineMetrics]]:
@@ -51,7 +51,7 @@ def tight_init(
 
 def skyline_table(
     g: DirectedGraph,
-    parts: PartitionMap | None = None,
+    parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[AnchoredTable, list[EngineMetrics]]:
@@ -64,7 +64,7 @@ def skyline_table(
 
 def skyline_decompose(
     g: DirectedGraph,
-    parts: PartitionMap | None = None,
+    parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[list[list[Pair]], list[EngineMetrics]]:

@@ -18,7 +18,7 @@ from dcore.anchored import (
 )
 from dcore.engine import default_superstep_cap, run_program, run_programs
 from dcore.graph import build_graph, generate_random_digraph, make_partition
-from dcore.peel import anchored_to_skyline, dcore, peel_decompose
+from dcore.peel import anchored_to_skyline, dcore, out_core_numbers, peel_decompose
 
 from _naive import NaiveHIndexFixpoint, NaiveLuppProgram, NaiveRefineProgram
 from conftest import (
@@ -288,9 +288,10 @@ def test_anchored_equals_oracle_on_drawn_graphs(g, blocks, partitioner):
 
 
 def _check_h_histogram(g, states, log):
+    # buckets 0..value count exact values, bucket value + 1 those above it
     for st in states:
         delivered = log.last.get(id(st), {}).values()
-        assert st.hist[: st.value + 1] == clipped_histogram(delivered, st.value)
+        assert st.hist[: st.value + 2] == clipped_histogram(delivered, st.value + 1)
 
 
 def _lupp_checker(lmaxes):
@@ -367,13 +368,6 @@ def test_support_counters_equal_a_recount_after_every_superstep(source, request)
             assert len(steps) > 1
 
 
-def _check_above_counts(states, log):
-    for st in states:
-        delivered = log.last.get(id(st), {}).values()
-        assert st.hist[: st.value + 1] == clipped_histogram(delivered, st.value)
-        assert st.above == sum(1 for x in delivered if x > st.value)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     g=drawn_graphs,
@@ -383,26 +377,38 @@ def _check_above_counts(states, log):
 def test_strictly_above_count_equals_a_recount_after_every_phase1_superstep(
     g, blocks, partitioner
 ):
-    # The count is kept by the fold and reset from the buckets on a drop;
-    # compare it with the in-neighbors whose last delivered value is above
-    # the vertex's own, in phase I's shared supersteps, in both modes.
+    # The top bucket is kept by the fold and rewritten by a drop; compare
+    # every bucket, the top one included, with the in-neighbors' last
+    # delivered values, in phase I's shared supersteps, in both modes.
     kmaxes = [len(row) - 1 for row in peel_decompose(g).rows]
+    lmaxes = out_core_numbers(g)
     for parts, mode in [(None, "vertex"), (make_partition(partitioner, g, blocks), "block")]:
         program = KmaxFixpoint()
         log = record_deliveries(program)
         steps = []
 
         def observe(step, states):
-            _check_above_counts(states[0], log)
+            _check_h_histogram(g, states[0], log)
             steps.append(step)
 
-        (got, _), metrics = run_programs(
+        (got, hists), metrics = run_programs(
             (program, LmaxHistogram()), g, parts, mode, observer=observe, phase="phase I"
         )
         assert steps and log.count <= metrics.messages_total + metrics.intra_messages
         assert got == [
             (kmaxes[v], any(kmaxes[u] > kmaxes[v] for u in g.in_adj[v])) for v in range(g.n)
         ]
+        # extract merges the top two buckets into the clipped histogram
+        assert hists == [
+            clipped_histogram([lmaxes[u] for u in g.out_adj[v]], lmaxes[v]) for v in range(g.n)
+        ]
+
+
+def test_phase1_programs_share_the_h_index_fold():
+    # Phase I extracts more than skyline's init, but it must fold the same
+    # way: its programs may only choose the direction and the extract.
+    for cls in (KmaxFixpoint, LmaxHistogram):
+        assert not {"init", "on_broadcast", "after_messages"} & set(vars(cls)), cls
 
 
 def _band(n, forward, backward):

@@ -234,8 +234,7 @@ def test_empty_graph_runs():
 
 
 def _reference(program, g, parts=None, phase=""):
-    block_of = None if parts is None else parts.block_of
-    results, _, per_step, intra = naive_schedule(program, g, block_of)
+    results, _, per_step, intra = naive_schedule(program, g, parts)
     return results, EngineMetrics(phase, per_step, intra)
 
 

@@ -82,18 +82,18 @@ def test_adjacency_invariants_on_parsed_graph():
 
 def test_hash_partition_rule():
     g = build_graph(5, [])
-    assert hash_partition(g, 2).block_of == [0, 1, 0, 1, 0]
-    assert hash_partition(g, 1).block_of == [0, 0, 0, 0, 0]
+    assert hash_partition(g, 2) == [0, 1, 0, 1, 0]
+    assert hash_partition(g, 1) == [0, 0, 0, 0, 0]
     g8 = build_graph(8, [])
-    assert hash_partition(g8, 3).block_of == [0, 1, 2, 0, 1, 2, 0, 1]
+    assert hash_partition(g8, 3) == [0, 1, 2, 0, 1, 2, 0, 1]
 
 
 def test_segment_partition_rule():
     g8 = build_graph(8, [])
-    assert segment_partition(g8, 2).block_of == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert segment_partition(g8, 1).block_of == [0] * 8
+    assert segment_partition(g8, 2) == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert segment_partition(g8, 1) == [0] * 8
     g5 = build_graph(5, [])
-    assert segment_partition(g5, 2).block_of == [0, 0, 0, 1, 1]
+    assert segment_partition(g5, 2) == [0, 0, 0, 1, 1]
 
 
 def test_partition_rejects_zero_blocks():
@@ -111,8 +111,8 @@ def test_partitions_are_stable():
     for name in ("hash", "seg"):
         a = make_partition(name, g, 4)
         b = make_partition(name, g, 4)
-        assert a.block_of == b.block_of
-        assert all(0 <= x < 4 for x in a.block_of)
+        assert a == b
+        assert all(0 <= x < 4 for x in a)
 
 
 def test_generator_edge_cases():
