@@ -1,32 +1,33 @@
 """Distributed anchored-coreness decomposition in three phases.
 
 Phase I iterates the in-H-index to the in-degree limit kmax(v) and the
-out-H-index to the out-degree limit lmax(v), in shared supersteps, as
-skyline's init does.  Phase II iterates, for every k in [0, kmax(v)] at
-once, the out-H-index restricted to the vertices with kmax >= k, yielding
-upper bounds on l_max(v, k).  Phase III lowers each bound to the largest
-value its neighbors support.  Every tracked scalar only ever decreases,
-which is what guarantees quiescence.
+out-H-index to the out-degree limit lmax(v), in shared supersteps;
+skyline's init is this phase under its own name.  Phase II iterates, for
+every k in [0, kmax(v)] at once, the out-H-index restricted to the
+vertices with kmax >= k, yielding upper bounds on l_max(v, k).  Phase III
+lowers each bound to the largest value its neighbors support.  Every
+tracked scalar only ever decreases, which is what guarantees quiescence.
 
 Phases I and II send deltas and keep no copy of any neighbor.  A phase I
-payload is (old, new), and its init message is the delta from "absent",
-old = -1.  Each receiver folds the deltas into a histogram per value (per
-slot k in phase II).  In phase I, bucket b <= value counts the neighbors
-whose value is exactly b, and one more bucket, at value + 1, those
-strictly above it.  In phase II a slot's histogram is clipped at its own
-value: bucket b counts the neighbors whose value is b, and the top
-bucket, at the slot's value, every neighbor at or above it.  That is the
-counting computeIndex of Montresor, De Pellegrini and Miorandi (TPDS
-2013).  A delta whose new value is above the receiver's (at or above it,
-in phase II) moves nothing, so the receiver skips it.  A value can only
-drop when the neighbors at or above it fall short of it; it then walks
-down the buckets to the new H-index, and the ones it passes make up the
-new top.  So every decision to lower a value, and with it every emitted
-value, superstep and message, is the one a full rescan would make.
-Deltas rely on the engine's contract: every payload reaches each
-recipient exactly once, and one sender's payloads arrive in the order it
-emitted them.  Histograms are sums over senders, so the order between
-senders is irrelevant.
+payload is (old, new), and its init message is a drop from above every
+value, old = n, since no degree reaches n.  Each receiver folds the
+deltas into a histogram per value (per slot k in phase II).  In phase I,
+bucket b <= value counts the neighbors whose value is exactly b, and one
+more bucket, at value + 1, those strictly above it; every neighbor starts
+there, as if its value were +inf.  In phase II a slot's histogram is
+clipped at its own value: bucket b counts the neighbors whose value is b,
+and the top bucket, at the slot's value, every neighbor at or above it.
+That is the counting computeIndex of Montresor, De Pellegrini and
+Miorandi (TPDS 2013).  A delta whose new value is above the receiver's
+(at or above it, in phase II) moves nothing, so the receiver skips it.  A
+value can only drop when the neighbors at or above it fall short of it;
+it then walks down the buckets to the new H-index, and the ones it passes
+make up the new top.  So every decision to lower a value, and with it
+every emitted value, superstep and message, is the one a full rescan
+would make.  Deltas rely on the engine's contract: every payload reaches
+each recipient exactly once, and one sender's payloads arrive in the
+order it emitted them.  Histograms are sums over senders, so the order
+between senders is irrelevant.
 
 Vertex values persist between phases, as in Pregel (Malewicz et al.,
 SIGMOD 2010), so phase II starts every slot of v at lmax(v), with a copy
@@ -69,11 +70,9 @@ def _lower(hist: list[int], base: int, top: int) -> int:
     which counts every value >= top.  The H-index h is the largest h <= top
     with at least h values >= h.  The buckets above h are folded into
     hist[base + h], which leaves the histogram clipped at h; the ones above
-    are never read again.
+    are never read again.  The caller has found hist[base + top] < top.
     """
     c = hist[base + top]
-    if c >= top:
-        return top
     h = top
     while c < h:
         h -= 1
@@ -95,13 +94,14 @@ class HIndexFixpoint(VertexProgram):
     H-index of a neighbor can fall, so quiescence is a true fixpoint.
 
     The payload is the delta (old, new) of the sender's value; init sends
-    (-1, degree).  hist has value + 2 buckets: for b <= value, hist[b]
-    counts the neighbors whose value is exactly b, and hist[value + 1]
-    those strictly above value.  A delta moves a count only when new <=
-    value; otherwise both ends lie in the top bucket.  The H-index is never
-    above value, so a vertex lowers it only when hist[value] + hist[value
-    + 1] < value, by walking the buckets down to the new value h and
-    writing the count above h into hist[h + 1].
+    (n, degree), a drop from above every value, since no degree reaches n.
+    hist has value + 2 buckets: for b <= value, hist[b] counts the
+    neighbors whose value is exactly b, and hist[value + 1] those strictly
+    above value, which at init is every neighbor.  A delta moves a count
+    only when new <= value; otherwise both ends lie in the top bucket.  The
+    H-index is never above value, so a vertex lowers it only when
+    hist[value] + hist[value + 1] < value, by walking the buckets down to
+    the new value h and writing the count above h into hist[h + 1].
     """
 
     def __init__(self, consume: str = "in"):
@@ -113,17 +113,11 @@ class HIndexFixpoint(VertexProgram):
     def init(self, v, g):
         st = _HState()
         st.value = len(g.in_adj[v] if self.consume == "in" else g.out_adj[v])
-        st.hist = [0] * (st.value + 2)
-        return st, (-1, st.value)
+        st.hist = [0] * (st.value + 1) + [st.value]
+        return st, (g.n, st.value)
 
     def on_broadcast(self, targets, sender, payload):
         old, new = payload
-        if old < 0:
-            # init: count the sender in bucket new, clipped above the value
-            for st in targets:
-                top = st.value
-                st.hist[new if new <= top else top + 1] += 1
-            return
         for st in targets:
             top = st.value
             if new <= top:
@@ -154,7 +148,7 @@ class KmaxFixpoint(HIndexFixpoint):
 
     At the fixpoint the top bucket counts the in-neighbors of larger kmax;
     phase II must take the vertex out of their slots past its own kmax.
-    Skyline's init does not need that, so it runs HIndexFixpoint.
+    Skyline's init runs this phase too and ignores the flag.
     """
 
     def __init__(self):
@@ -451,15 +445,18 @@ def compute_kmax_lmax(
     g: DirectedGraph,
     parts: list[int] | None = None,
     mode: str = "vertex",
+    *,
+    phase: str = "phase I",
     **kwargs,
 ) -> tuple[list[tuple[int, bool, list[int]]], EngineMetrics]:
     """Phase I: the kmax and lmax fixpoints in shared supersteps.
 
     Returns one seed per vertex for compute_lupp: (kmax, whether some
     in-neighbor has a larger kmax, the final lmax histogram hist[0..lmax]).
+    phase names the metrics; skyline's tight_init runs this as "init".
     """
     (kmaxes, hists), metrics = run_programs(
-        (KmaxFixpoint(), LmaxHistogram()), g, parts, mode, phase="phase I", **kwargs
+        (KmaxFixpoint(), LmaxHistogram()), g, parts, mode, phase=phase, **kwargs
     )
     return [(k, excludes, hist) for (k, excludes), hist in zip(kmaxes, hists)], metrics
 

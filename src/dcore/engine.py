@@ -15,7 +15,8 @@ Each program's run is one _Run object.  run_programs advances several
 runs in shared supersteps, as a Pregel job may run vertex programs that
 do not depend on each other; each program's results are those of running
 it alone, and the one EngineMetrics sums their traffic.  run_program is
-run_programs with one program.
+run_programs with one program, so an observer gets one state list per
+program whichever of the two runs a phase.
 
 The engine calls on_broadcast(targets, sender, payload) once per emitted
 payload, where targets iterates the recipients' states; in block mode the
@@ -246,7 +247,8 @@ def run_programs(
     since the simulator runs in one thread; it stays only because
     benchmarks/run.py passes workers=1, and goes when that call stops
     passing it.  `observer(step, states)` is called after init as step 1
-    and then after every superstep, with one state list per program.  A run
+    and then after every superstep; states holds one state list per
+    program, in the order of programs, also when there is one.  A run
     that needs more than default_superstep_cap(g) supersteps, or a block
     that needs more local rounds in one superstep, raises
     SuperstepLimitError.
@@ -295,21 +297,12 @@ def run_program(
     g: DirectedGraph,
     parts: list[int] | None = None,
     mode: str = "vertex",
-    *,
-    observer=None,
     **kwargs,
 ):
     """Run one program on g to quiescence; return (per-vertex results, metrics).
 
-    This is run_programs with one program (see there for the modes and
-    keywords), except that `observer(step, states)` gets the program's
-    state list itself.
+    This is run_programs with one program; see there for the modes and
+    keywords.  Its observer, too, gets one state list per program.
     """
-    if observer is not None:
-        observe = observer
-
-        def observer(step, states):
-            observe(step, states[0])
-
-    (results,), metrics = run_programs((program,), g, parts, mode, observer=observer, **kwargs)
+    (results,), metrics = run_programs((program,), g, parts, mode, **kwargs)
     return results, metrics

@@ -3,9 +3,8 @@
 Every vertex keeps an antichain of (k, l) pairs, initialized tightly to the
 single pair (K, L) = (kmax(v), lmax(v)) obtained from two H-index fixpoints,
 and then repeatedly replaced by the D-index of its neighbors' current sets
-until nothing changes anywhere.  The kmax and lmax fixpoints share nothing,
-so they run in shared supersteps as one phase, "init", which takes as many
-supersteps as the longer of them; the iteration is the phase "d-index".
+until nothing changes anywhere.  The fixpoints are anchored's phase I, run
+under the name "init"; the iteration is the phase "d-index".
 
 A set S_u is described by its staircase heights f_u(k) = max{l' : (k', l')
 in S_u, k' >= k}, or -1 when no pair reaches k.  The D-index of v's
@@ -20,8 +19,8 @@ skyline_decompose reads each set off it with peel.anchored_to_skyline.
 
 from __future__ import annotations
 
-from .anchored import HIndexFixpoint, RowProgram
-from .engine import EngineMetrics, run_program, run_programs
+from .anchored import RowProgram, compute_kmax_lmax
+from .engine import EngineMetrics, run_program
 from .graph import DirectedGraph
 from .kernels import Pair
 from .peel import AnchoredTable, anchored_to_skyline
@@ -35,18 +34,14 @@ def tight_init(
     parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
-) -> tuple[list[Pair], list[EngineMetrics]]:
-    """Per-vertex (kmax(v), lmax(v)) start pairs from two H-index fixpoints.
+) -> tuple[list[Pair], EngineMetrics]:
+    """Per-vertex (kmax(v), lmax(v)) start pairs: anchored's phase I as "init".
 
-    The kmax and lmax fixpoints share nothing, so they run in shared
-    supersteps as the one phase "init".  Each returned pair weakly
-    dominates every skyline pair of its vertex, so the D-index iteration
-    can only descend from it.
+    Each returned pair weakly dominates every skyline pair of its vertex,
+    so the D-index iteration can only descend from it.
     """
-    (kmaxes, lmaxes), metrics = run_programs(
-        (HIndexFixpoint("in"), HIndexFixpoint("out")), g, parts, mode, phase="init", **kwargs
-    )
-    return list(zip(kmaxes, lmaxes)), [metrics]
+    seeds, metrics = compute_kmax_lmax(g, parts, mode, phase="init", **kwargs)
+    return [(kmax, len(hist) - 1) for kmax, _, hist in seeds], metrics
 
 
 def skyline_table(
@@ -56,10 +51,10 @@ def skyline_table(
     **kwargs,
 ) -> tuple[AnchoredTable, list[EngineMetrics]]:
     """The D-index's converged heights, equal to peel_decompose(g), plus metrics."""
-    pairs, metrics = tight_init(g, parts, mode, **kwargs)
+    pairs, m_init = tight_init(g, parts, mode, **kwargs)
     boxes = [[L] * (K + 1) for K, L in pairs]
     heights, m_d = run_program(RowProgram(boxes), g, parts, mode, phase="d-index", **kwargs)
-    return AnchoredTable(heights), metrics + [m_d]
+    return AnchoredTable(heights), [m_init, m_d]
 
 
 def skyline_decompose(

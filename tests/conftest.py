@@ -180,15 +180,16 @@ def record_deliveries(program, start=None) -> DeliveryLog:
     Wraps program.on_broadcast and checks each recipient state of each
     call before forwarding them all, as a list, to the program.  Values are
     ints for (old, new) payloads and dicts {k: value} for payloads of
-    (k, old, new) triples.  start, given for phase II, is each sender's
-    start value in every one of its slots, and a slot it never sent stays
-    there.  Phase II's exclusion (width, lmax, -1) stands for (j, lmax, -1)
-    for every slot j >= width of the receiver: the sender is no longer
-    counted there.  RowProgram's init triple (k, -1, value) stands for (j,
+    (k, old, new) triples.  start, given for phases I and II, is each
+    sender's start value (in every one of its slots), and a value it never
+    sent stays there; an H-index init is a drop from n, above every value,
+    so phase I's start is n.  Phase II's exclusion (width, lmax, -1) stands
+    for (j, lmax, -1) for every slot j >= width of the receiver: the sender
+    is no longer counted there.  RowProgram's init triple (k, -1, value) stands for (j,
     -1, value) for every j after the previous triple's k up to k.  A
-    triple's old must equal the value recorded before it (start[sender],
-    or -1 when start is None), which checks that every delta arrives
-    exactly once and in order.
+    delta's old must equal the value recorded before it (start[sender], or
+    -1 when start is None), which checks that every delta arrives exactly
+    once and in order.
     """
     log = DeliveryLog()
     hook = program.on_broadcast
@@ -196,15 +197,15 @@ def record_deliveries(program, start=None) -> DeliveryLog:
     def on_broadcast(targets, sender, payload):
         targets = list(targets)
         log.count += len(targets)
+        before = -1 if start is None else start[sender]
         for state in targets:
             seen = log.last.setdefault(id(state), {})
             if isinstance(payload[0], int):
                 old, new = payload
-                assert seen.get(sender, -1) == old, (sender, payload)
+                assert seen.get(sender, before) == old, (sender, payload)
                 seen[sender] = new
             else:
                 slots = seen.setdefault(sender, {})
-                before = -1 if start is None else start[sender]
                 count = None if start is None else len(state.arr)
                 for k, old, new in _delta_triples(payload, count):
                     assert slots.get(k, before) == old, (sender, k, payload)

@@ -144,7 +144,7 @@ def test_criterion_4_invariant_suites(ref8):
         snaps = []
         prog = HIndexFixpoint("in")
         kmaxes, _ = run_program(
-            prog, g, observer=lambda _, s: snaps.append([x.value for x in s])
+            prog, g, observer=lambda _, s: snaps.append([x.value for x in s[0]])
         )
         bad = any(
             b > a for pre, post in zip(snaps, snaps[1:]) for a, b in zip(pre, post)
@@ -157,7 +157,7 @@ def test_criterion_4_invariant_suites(ref8):
         lupps, _ = run_program(
             LuppProgram(compute_kmax_lmax(g)[0]),
             g,
-            observer=lambda _, s: snaps.append([list(x.arr) for x in s]),
+            observer=lambda _, s: snaps.append([list(x.arr) for x in s[0]]),
         )
         for pre, post in zip(snaps, snaps[1:]):
             for ra, rb in zip(pre, post):
@@ -167,7 +167,7 @@ def test_criterion_4_invariant_suites(ref8):
         run_program(
             RowProgram(lupps),
             g,
-            observer=lambda _, s: snaps.append([list(x.arr) for x in s]),
+            observer=lambda _, s: snaps.append([list(x.arr) for x in s[0]]),
         )
         for pre, post in zip(snaps, snaps[1:]):
             for ra, rb in zip(pre, post):
@@ -180,7 +180,7 @@ def test_criterion_4_invariant_suites(ref8):
         heights, _ = run_program(
             RowProgram(boxes(pairs)),
             g,
-            observer=lambda _, s: snaps.append([skyline_of(x.arr) for x in s]),
+            observer=lambda _, s: snaps.append([skyline_of(x.arr) for x in s[0]]),
         )
         skys = [skyline_of(h) for h in heights]
         for snap in snaps:

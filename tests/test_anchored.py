@@ -141,7 +141,7 @@ def test_monotone_descent_all_phases(ref8):
         kmaxes, _ = run_program(
             prog,
             graph,
-            observer=lambda _, states: snaps.append([s.value for s in states]),
+            observer=lambda _, states: snaps.append([s.value for s in states[0]]),
         )
         for before, after in zip(snaps, snaps[1:]):
             assert all(b <= a for a, b in zip(before, after))
@@ -150,7 +150,7 @@ def test_monotone_descent_all_phases(ref8):
         lupps, _ = run_program(
             LuppProgram(compute_kmax_lmax(graph)[0]),
             graph,
-            observer=lambda _, states: snaps.append([list(s.arr) for s in states]),
+            observer=lambda _, states: snaps.append([list(s.arr) for s in states[0]]),
         )
         for before, after in zip(snaps, snaps[1:]):
             for row_a, row_b in zip(before, after):
@@ -160,7 +160,7 @@ def test_monotone_descent_all_phases(ref8):
         run_program(
             RowProgram(lupps),
             graph,
-            observer=lambda _, states: snaps.append([list(s.arr) for s in states]),
+            observer=lambda _, states: snaps.append([list(s.arr) for s in states[0]]),
         )
         for before, after in zip(snaps, snaps[1:]):
             for row_a, row_b in zip(before, after):
@@ -213,7 +213,7 @@ def _trace(program, g, parts, mode, attr):
     snaps = []
     results, metrics = run_program(
         program, g, parts, mode,
-        observer=lambda _, states: snaps.append([_copy(getattr(s, attr)) for s in states]),
+        observer=lambda _, states: snaps.append([_copy(getattr(s, attr)) for s in states[0]]),
     )
     return snaps, results, metrics
 
@@ -287,11 +287,22 @@ def test_anchored_equals_oracle_on_drawn_graphs(g, blocks, partitioner):
     assert anchored_decompose(g, parts, "block")[0].rows == want
 
 
-def _check_h_histogram(g, states, log):
-    # buckets 0..value count exact values, bucket value + 1 those above it
-    for st in states:
-        delivered = log.last.get(id(st), {}).values()
-        assert st.hist[: st.value + 2] == clipped_histogram(delivered, st.value + 1)
+def _h_checker(consume):
+    """Phase I's check against a recount.
+
+    Buckets 0..value count exact values, bucket value + 1 those above it.
+    A neighbor not yet heard from is still at its init value n, above
+    every value, so it counts in the top bucket.
+    """
+
+    def check(g, states, log):
+        adj = g.in_adj if consume == "in" else g.out_adj
+        for v, st in enumerate(states):
+            delivered = log.last.get(id(st), {})
+            column = [delivered.get(u, g.n) for u in adj[v]]
+            assert st.hist[: st.value + 2] == clipped_histogram(column, st.value + 1), v
+
+    return check
 
 
 def _lupp_checker(lmaxes):
@@ -345,20 +356,22 @@ def test_support_counters_equal_a_recount_after_every_superstep(source, request)
     seeds, kmaxes, lmaxes = _phase_one(g)
     lupps = _lupps(g)
     loose = [[len(g.out_adj[v])] * (kmaxes[v] + 1) for v in range(g.n)]
+    above = [g.n] * g.n  # an H-index init is a drop from above every value
     for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
         checks = [
-            (HIndexFixpoint("in"), _check_h_histogram),
-            (HIndexFixpoint("out"), _check_h_histogram),
-            (LuppProgram(list(seeds)), _lupp_checker(lmaxes)),
-            (RowProgram(lupps), _check_refine_histograms),
-            (RowProgram(_raised(g, lupps)), _check_refine_histograms),
-            (RowProgram(loose), _check_refine_histograms),
+            (HIndexFixpoint("in"), _h_checker("in"), above),
+            (HIndexFixpoint("out"), _h_checker("out"), above),
+            (LuppProgram(list(seeds)), _lupp_checker(lmaxes), lmaxes),
+            (RowProgram(lupps), _check_refine_histograms, None),
+            (RowProgram(_raised(g, lupps)), _check_refine_histograms, None),
+            (RowProgram(loose), _check_refine_histograms, None),
         ]
-        for program, check in checks:
-            log = record_deliveries(program, lmaxes if isinstance(program, LuppProgram) else None)
+        for program, check, start in checks:
+            log = record_deliveries(program, start)
             steps = []
 
-            def observe(step, states, check=check, log=log):
+            def observe(step, runs, check=check, log=log):
+                (states,) = runs
                 if step > 1 or check is not _check_refine_histograms:
                     check(g, states, log)
                 steps.append(step)
@@ -384,11 +397,12 @@ def test_strictly_above_count_equals_a_recount_after_every_phase1_superstep(
     lmaxes = out_core_numbers(g)
     for parts, mode in [(None, "vertex"), (make_partition(partitioner, g, blocks), "block")]:
         program = KmaxFixpoint()
-        log = record_deliveries(program)
+        log = record_deliveries(program, [g.n] * g.n)
+        check = _h_checker("in")
         steps = []
 
         def observe(step, states):
-            _check_h_histogram(g, states[0], log)
+            check(g, states[0], log)
             steps.append(step)
 
         (got, hists), metrics = run_programs(
@@ -405,8 +419,9 @@ def test_strictly_above_count_equals_a_recount_after_every_phase1_superstep(
 
 
 def test_phase1_programs_share_the_h_index_fold():
-    # Phase I extracts more than skyline's init, but it must fold the same
-    # way: its programs may only choose the direction and the extract.
+    # Phase I, which is also skyline's init, extracts more than the H-index,
+    # but it must fold the same way: its programs may only choose the
+    # direction and the extract.
     for cls in (KmaxFixpoint, LmaxHistogram):
         assert not {"init", "on_broadcast", "after_messages"} & set(vars(cls)), cls
 

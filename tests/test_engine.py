@@ -218,8 +218,8 @@ def test_quiescence_soundness(ref8):
     prog = HIndexFixpoint("in")
     holder = {}
 
-    def observer(step, states):
-        holder["states"] = states
+    def observer(step, runs):
+        (holder["states"],) = runs
 
     run_program(prog, ref8, observer=observer)
     for v, state in enumerate(holder["states"]):
@@ -282,8 +282,9 @@ class MailLoggingCountdown(CountdownProgram):
         self.runs.append((v, state.pop("mail", False)))
         return super().after_messages(state, v, g)
 
-    def observer(self, step, states):
+    def observer(self, step, runs):
         # every message delivered so far was read in its round
+        (states,) = runs
         assert not any("mail" in state for state in states)
 
 
@@ -347,7 +348,8 @@ def test_package_programs_return_none_without_new_mail(source, request):
 
             prog.init, prog.after_messages = recording_init, recording_after
 
-            def observer(step, states):
+            def observer(step, runs):
+                (states,) = runs
                 for v, state in enumerate(states):
                     if step == 1 and v in reached:
                         continue
@@ -436,7 +438,7 @@ def test_payloads_of_two_local_rounds_cross_blocks_in_order():
         ring,
         hash_partition(ring, 2),
         "block",
-        observer=lambda _, states: snaps.append(list(states[3]["got"])),
+        observer=lambda _, states: snaps.append(list(states[0][3]["got"])),
     )
     assert snaps[1] == [(2, (2, 0))]
     assert snaps[2] == [(2, (2, 0)), (2, (2, 1)), (2, (2, 2))]

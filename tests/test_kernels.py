@@ -102,7 +102,6 @@ def test_hot_kernels_stay_module_attributes_of_the_algorithms(ref8, monkeypatch)
     assert dcore.skyline.d_index_over_sets is d_index_over_sets
     assert dcore.anchored.run_program is dcore.engine.run_program
     assert dcore.skyline.run_program is dcore.engine.run_program
-    assert dcore.skyline.run_programs is dcore.engine.run_programs
     assert dcore.anchored.run_programs is dcore.engine.run_programs
     # The tracer still patches compute_kmax, which anchored_decompose no
     # longer calls: phase I computes kmax and lmax together.
@@ -125,11 +124,10 @@ def test_hot_kernels_stay_module_attributes_of_the_algorithms(ref8, monkeypatch)
     for name in ("compute_kmax", "compute_kmax_lmax", "compute_lupp", "refine"):
         spy(dcore.anchored, name)
     spy(dcore.skyline, "tight_init")
-    # Anchored's phase I and skyline's init each run their two fixpoints
-    # together through run_programs, never through the run_program wrapper,
-    # which takes one program.
-    for module in (dcore.anchored, dcore.skyline):
-        spy(module, "run_programs")
+    # Skyline's init is anchored's phase I, which runs its two fixpoints
+    # together through run_programs, never through run_program, which
+    # takes one program.
+    spy(dcore.anchored, "run_programs")
 
     # The tracer's wrapper calls run_program positionally with the mode.
     def engine_run(program, g, parts, mode, **kwargs):

@@ -38,7 +38,21 @@ from conftest import (
 def test_tight_init_ref8(ref8):
     pairs, metrics = tight_init(ref8)
     assert pairs == REF8_TIGHT_INIT
-    assert [m.phase for m in metrics] == ["init"]
+    assert metrics.phase == "init"
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_tight_init_is_anchored_phase_one_under_its_own_name(source, request):
+    # Skyline's init and anchored's phase I are one phase: the same pairs
+    # and the same counts, only the phase name differs.
+    g = graph_from(source, request)
+    for parts, mode in [(None, "vertex"), (make_partition("hash", g, 4), "block")]:
+        pairs, m_init = tight_init(g, parts, mode)
+        seeds, m_one = compute_kmax_lmax(g, parts, mode)
+        assert pairs == [(kmax, len(hist) - 1) for kmax, _, hist in seeds], mode
+        assert (m_init.phase, m_one.phase) == ("init", "phase I")
+        assert m_init.messages_per_step == m_one.messages_per_step, mode
+        assert m_init.intra_messages == m_one.intra_messages, mode
 
 
 @pytest.mark.parametrize("decompose", [anchored_decompose, skyline_decompose])
@@ -49,6 +63,30 @@ def test_observer_sees_every_superstep_of_every_phase(decompose, mode, ref8):
     _, metrics = decompose(ref8, parts, mode, observer=lambda step, states: steps.append(step))
     assert len(steps) == sum(m.supersteps for m in metrics)
     assert steps.count(1) == len(metrics)
+
+
+@pytest.mark.parametrize(
+    "decompose,programs", [(anchored_decompose, [2, 1, 1]), (skyline_decompose, [2, 1])]
+)
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+def test_observer_gets_one_state_list_per_program_in_every_phase(
+    decompose, programs, mode, ref8
+):
+    # Phase I (skyline's init) runs two programs and every later phase one;
+    # one observer reads them all the same way.
+    for graph in (ref8, generate_random_digraph(40, 0.12, seed=3)):
+        phases = []
+
+        def observe(step, states):
+            if step == 1:
+                phases.append([])
+            phases[-1].append([len(s) for s in states])
+
+        parts = make_partition("hash", graph, 4)
+        _, metrics = decompose(graph, parts, mode, observer=observe)
+        assert phases == [
+            [[graph.n] * count] * m.supersteps for count, m in zip(programs, metrics)
+        ]
 
 
 def test_tight_init_arcless_graph():
@@ -174,7 +212,7 @@ def test_antichain_and_dominance_descent_every_superstep(ref8):
         run_program(
             RowProgram(boxes(pairs)),
             graph,
-            observer=lambda _, states: snaps.append([skyline_of(s.arr) for s in states]),
+            observer=lambda _, states: snaps.append([skyline_of(s.arr) for s in states[0]]),
         )
         for snap in snaps:
             for d in snap:
@@ -223,7 +261,7 @@ def _d_trace(program, g, parts, mode, read):
     snaps = []
     _, metrics = run_program(
         program, g, parts, mode,
-        observer=lambda _, states: snaps.append([read(s) for s in states]),
+        observer=lambda _, states: snaps.append([read(s) for s in states[0]]),
     )
     return snaps, metrics
 
@@ -304,7 +342,8 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
             log = record_deliveries(program)
             steps = []
 
-            def observe(step, states, log=log):
+            def observe(step, runs, log=log):
+                (states,) = runs
                 for v, st in enumerate(states):
                     heights = log.last.get(id(st), {})
                     if step > 1:
