@@ -29,17 +29,19 @@ each recipient exactly once, and one sender's payloads arrive in the
 order it emitted them.  Histograms are sums over senders, so the order
 between senders is irrelevant.
 
-Vertex values persist between phases, as in Pregel (Malewicz et al.,
-SIGMOD 2010), so phase II starts every slot of v at lmax(v), with a copy
-of the histogram that phase I's lmax fixpoint ended with.  l_upp(v, k) is
-the out-core number of v in G[k], which is inside G, so it is at most
-lmax(v), and the descent from there ends at the same l_upp as one from
-the out-degree.  A phase II payload is phase III's: the tuple of (k, old,
-new) triples of the slots that dropped.  The copies count every
-out-neighbor in every slot; the one init message, the exclusion (width,
-lmax, -1) with width = kmax + 1, takes its sender out of the slots past
-kmax.  Only a vertex with an in-neighbor of larger kmax sends it, which
-phase I's kmax program reads off its strictly-above bucket.
+Phase I is two plain HIndexFixpoint runs, and each extracts its value
+with its final histogram.  Vertex values persist between phases, as in
+Pregel (Malewicz et al., SIGMOD 2010), so phase II starts every slot of v
+at lmax(v), with a copy of the histogram that the lmax fixpoint ended
+with, its top two buckets merged.  l_upp(v, k) is the out-core number of
+v in G[k], which is inside G, so it is at most lmax(v), and the descent
+from there ends at the same l_upp as one from the out-degree.  A phase II
+payload is phase III's: the tuple of (k, old, new) triples of the slots
+that dropped.  The copies count every out-neighbor in every slot; the one
+init message, the exclusion (width, lmax, -1) with width = kmax + 1,
+takes its sender out of the slots past kmax.  Only a vertex with an
+in-neighbor of larger kmax sends it, which compute_kmax_lmax reads off
+the strictly-above bucket of the kmax histogram.
 
 Phase III is RowProgram, the program of the skyline D-index started from
 the l_upp arrays instead of a (kmax, lmax) box.  Row k of a flat in- and
@@ -102,6 +104,10 @@ class HIndexFixpoint(VertexProgram):
     H-index is never above value, so a vertex lowers it only when
     hist[value] + hist[value + 1] < value, by walking the buckets down to
     the new value h and writing the count above h into hist[h + 1].
+
+    extract returns (value, hist) with hist cut to its value + 2 buckets.
+    The cut buckets are never read again, so extract may be called on any
+    state mid-run; the returned list is the state's own.
     """
 
     def __init__(self, consume: str = "in"):
@@ -140,40 +146,8 @@ class HIndexFixpoint(VertexProgram):
         return (old, h)
 
     def extract(self, st, v, g):
-        return st.value
-
-
-class KmaxFixpoint(HIndexFixpoint):
-    """The kmax fixpoint, extracting (kmax, some in-neighbor is above it).
-
-    At the fixpoint the top bucket counts the in-neighbors of larger kmax;
-    phase II must take the vertex out of their slots past its own kmax.
-    Skyline's init runs this phase too and ignores the flag.
-    """
-
-    def __init__(self):
-        super().__init__("in")
-
-    def extract(self, st, v, g):
-        return st.value, st.hist[st.value + 1] > 0
-
-
-class LmaxHistogram(HIndexFixpoint):
-    """The lmax fixpoint, extracting each vertex's final histogram.
-
-    extract merges the top two buckets and cuts hist down to hist[0..lmax]
-    in place, then returns it: bucket b < lmax counts the out-neighbors
-    whose lmax is b, and bucket lmax those at or above it.
-    """
-
-    def __init__(self):
-        super().__init__("out")
-
-    def extract(self, st, v, g):
-        hist, top = st.hist, st.value
-        hist[top] += hist[top + 1]
-        del hist[top + 1 :]
-        return hist
+        del st.hist[st.value + 2 :]
+        return st.value, st.hist
 
 
 class _LuppState:
@@ -188,16 +162,15 @@ class LuppProgram(VertexProgram):
     triples only for its own slots and ignores those beyond them, so G[k] is
     never materialized.
 
-    seeds[v] is phase I's (kmax, excludes, hist) for v, with hist v's final
-    lmax histogram (compute_kmax_lmax).  Every slot starts at lmax(v) and
-    its histogram is a copy of hist, with stride = lmax + 1: vertex values
-    persist between phases, as in Pregel.  That start is valid because
-    l_upp(v, k), the out-core number of v in G[k], is at most lmax(v), and
-    the box of lmax values is a pre-fixpoint of every slot's out-H-index
-    (G[k] is inside G), so the descent from it ends at the same l_upp as
-    one from the out-degree.  init takes seeds[v] out of the list, so
-    phase I's histograms are freed as they are copied and a LuppProgram
-    runs once.
+    seeds[v] is phase I's (kmax, excludes, lmax, hist) for v, with hist
+    the lmax fixpoint's final histogram (compute_kmax_lmax).  Every slot
+    starts at lmax(v) and its histogram is a copy of hist with the top two
+    buckets merged, so it is clipped at lmax, with stride = lmax + 1:
+    vertex values persist between phases, as in Pregel.  That start is
+    valid because l_upp(v, k), the out-core number of v in G[k], is at
+    most lmax(v), and the box of lmax values is a pre-fixpoint of every
+    slot's out-H-index (G[k] is inside G), so the descent from it ends at
+    the same l_upp as one from the out-degree.  init only reads seeds.
 
     A payload is RowProgram's: the k-ascending tuple of (k, old, new)
     triples of the slots that dropped.  hist holds one clipped histogram
@@ -218,13 +191,14 @@ class LuppProgram(VertexProgram):
         self.seeds = seeds
 
     def init(self, v, g):
-        kmax, excludes, hist = self.seeds[v]
-        self.seeds[v] = None
+        kmax, excludes, lmax, hist = self.seeds[v]
         st = _LuppState()
-        width, lmax = kmax + 1, len(hist) - 1
+        width = kmax + 1
         st.arr = [lmax] * width
         st.stride = lmax + 1
-        st.hist = hist * width
+        row = hist[: lmax + 1]
+        row[lmax] += hist[lmax + 1]
+        st.hist = row * width
         return st, (((width, lmax, -1),) if excludes else None)
 
     def on_broadcast(self, targets, sender, payload):
@@ -438,7 +412,8 @@ def compute_kmax(
 
     anchored_decompose computes kmax together with lmax (compute_kmax_lmax).
     """
-    return run_program(HIndexFixpoint("in"), g, parts, mode, phase="kmax", **kwargs)
+    results, metrics = run_program(HIndexFixpoint("in"), g, parts, mode, phase="kmax", **kwargs)
+    return [kmax for kmax, _ in results], metrics
 
 
 def compute_kmax_lmax(
@@ -448,30 +423,34 @@ def compute_kmax_lmax(
     *,
     phase: str = "phase I",
     **kwargs,
-) -> tuple[list[tuple[int, bool, list[int]]], EngineMetrics]:
+) -> tuple[list[tuple[int, bool, int, list[int]]], EngineMetrics]:
     """Phase I: the kmax and lmax fixpoints in shared supersteps.
 
-    Returns one seed per vertex for compute_lupp: (kmax, whether some
-    in-neighbor has a larger kmax, the final lmax histogram hist[0..lmax]).
+    Returns one seed per vertex for compute_lupp: (kmax, excludes, lmax,
+    hist).  excludes says that some in-neighbor has a larger kmax, which
+    the strictly-above bucket of the kmax histogram counts; hist is the
+    final lmax histogram as HIndexFixpoint extracts it, lmax + 2 buckets.
     phase names the metrics; skyline's tight_init runs this as "init".
     """
-    (kmaxes, hists), metrics = run_programs(
-        (KmaxFixpoint(), LmaxHistogram()), g, parts, mode, phase=phase, **kwargs
+    (ks, ls), metrics = run_programs(
+        (HIndexFixpoint("in"), HIndexFixpoint("out")), g, parts, mode, phase=phase, **kwargs
     )
-    return [(k, excludes, hist) for (k, excludes), hist in zip(kmaxes, hists)], metrics
+    seeds = [
+        (kmax, khist[kmax + 1] > 0, lmax, lhist) for (kmax, khist), (lmax, lhist) in zip(ks, ls)
+    ]
+    return seeds, metrics
 
 
 def compute_lupp(
     g: DirectedGraph,
-    seeds: list[tuple[int, bool, list[int]]],
+    seeds: list[tuple[int, bool, int, list[int]]],
     parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[list[list[int]], EngineMetrics]:
     """Per-vertex upper-bound arrays l_upp(k, v) for k in [0, kmax(v)].
 
-    seeds is compute_kmax_lmax's result; each entry is set to None once
-    its vertex is seeded.
+    seeds is compute_kmax_lmax's result, which this only reads.
     """
     return run_program(LuppProgram(seeds), g, parts, mode, phase="phase II", **kwargs)
 
@@ -499,5 +478,7 @@ def anchored_decompose(
     """Run the three phases back to back; equals peel_decompose exactly."""
     seeds, m1 = compute_kmax_lmax(g, parts, mode, **kwargs)
     lupps, m2 = compute_lupp(g, seeds, parts, mode, **kwargs)
+    # phase I's histograms are dead now; free them before phase III's tables
+    del seeds
     table, m3 = refine(g, lupps, parts, mode, **kwargs)
     return table, [m1, m2, m3]

@@ -99,8 +99,9 @@ def build_graph(n: int, arcs, labels: list[int] | None = None) -> DirectedGraph:
 def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
     """Parse SNAP-style edge-list text into a graph plus cleaning stats.
 
-    Lines starting with '#' are comments; a `# n=<count>` comment declares
-    vertices 0..count-1 up front so isolated vertices survive a round trip.
+    Lines starting with '#' are comments; the first `# n=<count>` comment
+    declares vertices 0..count-1 up front so isolated vertices survive a
+    round trip, and a negative count is an error.
     Each remaining line must be two integer labels `src dst`.  A line `L L`
     whose label appears on no other line is how write_edge_list writes an
     isolated vertex, so it is not counted as a dropped self-loop.  source
@@ -139,6 +140,8 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
                 except ValueError:
                     pass
                 else:
+                    if declared_n < 0:
+                        raise EdgeListError(f"line {lineno}: negative vertex count {declared_n}")
                     for lab in range(declared_n):
                         intern(lab)
             continue

@@ -41,7 +41,7 @@ def tight_init(
     so the D-index iteration can only descend from it.
     """
     seeds, metrics = compute_kmax_lmax(g, parts, mode, phase="init", **kwargs)
-    return [(kmax, len(hist) - 1) for kmax, _, hist in seeds], metrics
+    return [(kmax, lmax) for kmax, _, lmax, _ in seeds], metrics
 
 
 def skyline_table(

@@ -213,7 +213,12 @@ class _HState:
 
 
 class NaiveHIndexFixpoint(VertexProgram):
-    """Iterated H-index over one direction, rescanning on every drop below value."""
+    """Iterated H-index over one direction, rescanning on every drop below value.
+
+    extract recounts the final histogram from the neighbor copies: bucket
+    b <= value counts the neighbors whose value is b, and bucket value + 1
+    those above it.
+    """
 
     def __init__(self, consume="in"):
         self.consume = consume
@@ -243,7 +248,10 @@ class NaiveHIndexFixpoint(VertexProgram):
         return None
 
     def extract(self, st, v, g):
-        return st.value
+        hist = [0] * (st.value + 2)
+        for x in st.nbr.values():
+            hist[min(x, st.value + 1)] += 1
+        return st.value, hist
 
 
 class _ArrayState:

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from dcore.anchored import (
     HIndexFixpoint,
-    KmaxFixpoint,
-    LmaxHistogram,
     LuppProgram,
     RowProgram,
     anchored_decompose,
@@ -40,7 +38,7 @@ from conftest import (
 def _phase_one(g):
     """Phase I's seeds, and the kmax and lmax lists read off them."""
     seeds, _ = compute_kmax_lmax(g)
-    return seeds, [k for k, _, _ in seeds], [len(hist) - 1 for _, _, hist in seeds]
+    return seeds, [k for k, _, _, _ in seeds], [lmax for _, _, lmax, _ in seeds]
 
 
 def _lupps(g):
@@ -234,8 +232,7 @@ def test_counting_programs_match_from_scratch_every_superstep(source, request):
     pairs = [
         ("value", lambda: HIndexFixpoint("in"), NaiveHIndexFixpoint("in")),
         ("value", lambda: HIndexFixpoint("out"), NaiveHIndexFixpoint("out")),
-        # LuppProgram takes each seed out of its list, so each run gets a copy
-        ("arr", lambda: LuppProgram(list(seeds)), NaiveLuppProgram(kmaxes, lmaxes)),
+        ("arr", lambda: LuppProgram(seeds), NaiveLuppProgram(kmaxes, lmaxes)),
         ("arr", lambda: RowProgram(lupps), NaiveRefineProgram(lupps)),
         ("arr", lambda: RowProgram(raised), NaiveRefineProgram(raised)),
         ("arr", lambda: RowProgram(loose), NaiveRefineProgram(loose)),
@@ -361,7 +358,7 @@ def test_support_counters_equal_a_recount_after_every_superstep(source, request)
         checks = [
             (HIndexFixpoint("in"), _h_checker("in"), above),
             (HIndexFixpoint("out"), _h_checker("out"), above),
-            (LuppProgram(list(seeds)), _lupp_checker(lmaxes), lmaxes),
+            (LuppProgram(seeds), _lupp_checker(lmaxes), lmaxes),
             (RowProgram(lupps), _check_refine_histograms, None),
             (RowProgram(_raised(g, lupps)), _check_refine_histograms, None),
             (RowProgram(loose), _check_refine_histograms, None),
@@ -391,39 +388,37 @@ def test_strictly_above_count_equals_a_recount_after_every_phase1_superstep(
     g, blocks, partitioner
 ):
     # The top bucket is kept by the fold and rewritten by a drop; compare
-    # every bucket, the top one included, with the in-neighbors' last
+    # every bucket, the top one included, with the neighbors' last
     # delivered values, in phase I's shared supersteps, in both modes.
     kmaxes = [len(row) - 1 for row in peel_decompose(g).rows]
     lmaxes = out_core_numbers(g)
     for parts, mode in [(None, "vertex"), (make_partition(partitioner, g, blocks), "block")]:
-        program = KmaxFixpoint()
-        log = record_deliveries(program, [g.n] * g.n)
-        check = _h_checker("in")
+        pair = (HIndexFixpoint("in"), HIndexFixpoint("out"))
+        logs = [record_deliveries(program, [g.n] * g.n) for program in pair]
+        checks = (_h_checker("in"), _h_checker("out"))
         steps = []
 
-        def observe(step, states):
-            check(g, states[0], log)
+        def observe(step, runs):
+            for check, states, log in zip(checks, runs, logs):
+                check(g, states, log)
             steps.append(step)
 
-        (got, hists), metrics = run_programs(
-            (program, LmaxHistogram()), g, parts, mode, observer=observe, phase="phase I"
+        (got_in, got_out), metrics = run_programs(
+            pair, g, parts, mode, observer=observe, phase="phase I"
         )
-        assert steps and log.count <= metrics.messages_total + metrics.intra_messages
-        assert got == [
-            (kmaxes[v], any(kmaxes[u] > kmaxes[v] for u in g.in_adj[v])) for v in range(g.n)
+        assert steps and sum(log.count for log in logs) == (
+            metrics.messages_total + metrics.intra_messages
+        )
+        # extract cuts each histogram to its value + 2 buckets
+        for got, values, adj in [(got_in, kmaxes, g.in_adj), (got_out, lmaxes, g.out_adj)]:
+            assert got == [
+                (values[v], clipped_histogram([values[u] for u in adj[v]], values[v] + 1))
+                for v in range(g.n)
+            ]
+        seeds, _ = compute_kmax_lmax(g, parts, mode)
+        assert [excludes for _, excludes, _, _ in seeds] == [
+            any(kmaxes[u] > kmaxes[v] for u in g.in_adj[v]) for v in range(g.n)
         ]
-        # extract merges the top two buckets into the clipped histogram
-        assert hists == [
-            clipped_histogram([lmaxes[u] for u in g.out_adj[v]], lmaxes[v]) for v in range(g.n)
-        ]
-
-
-def test_phase1_programs_share_the_h_index_fold():
-    # Phase I, which is also skyline's init, extracts more than the H-index,
-    # but it must fold the same way: its programs may only choose the
-    # direction and the extract.
-    for cls in (KmaxFixpoint, LmaxHistogram):
-        assert not {"init", "on_broadcast", "after_messages"} & set(vars(cls)), cls
 
 
 def _band(n, forward, backward):
@@ -455,11 +450,11 @@ def test_phase2_is_silent_when_every_vertex_has_the_same_kmax():
 
 def test_phase2_init_senders_are_the_vertices_below_an_in_neighbor(ref8):
     seeds, kmaxes, _ = _phase_one(ref8)
-    program = LuppProgram(list(seeds))
+    program = LuppProgram(seeds)
     senders = {v for v in range(ref8.n) if program.init(v, ref8)[1] is not None}
     want = {v for v in range(ref8.n) if any(kmaxes[u] > kmaxes[v] for u in ref8.in_adj[v])}
     assert senders == want and senders
     _, metrics = compute_lupp(ref8, seeds)
     assert metrics.messages_per_step[0] == sum(len(ref8.in_adj[v]) for v in want)
-    # every seed is taken out of the list once its vertex is seeded
-    assert seeds == [None] * ref8.n
+    # phase II only reads its seeds
+    assert seeds == _phase_one(ref8)[0]

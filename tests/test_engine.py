@@ -7,8 +7,6 @@ import pytest
 from dcore import engine
 from dcore.anchored import (
     HIndexFixpoint,
-    KmaxFixpoint,
-    LmaxHistogram,
     LuppProgram,
     RowProgram,
     anchored_decompose,
@@ -25,7 +23,7 @@ from dcore.graph import build_graph, generate_random_digraph, hash_partition, ma
 from dcore.skyline import skyline_table
 
 from _naive import naive_schedule
-from conftest import GRAPH_SOURCES, REF8_KMAX, boxes, graph_from
+from conftest import GRAPH_SOURCES, REF8_KMAX, boxes, graph_from, pa_digraph
 
 
 class SilentProgram(VertexProgram):
@@ -127,7 +125,7 @@ def test_silent_program_runs_one_superstep(ref8):
 
 def test_kmax_program_on_fixture(ref8):
     results, metrics = run_program(HIndexFixpoint("in"), ref8)
-    assert results == REF8_KMAX
+    assert [kmax for kmax, _ in results] == REF8_KMAX
     assert metrics.supersteps >= 1
 
 
@@ -143,7 +141,7 @@ def test_vertex_mode_ignores_partitioning(ref8):
 def test_single_block_converges_in_two_supersteps_after_init(ref8):
     parts = hash_partition(ref8, 1)
     res, metrics = run_program(HIndexFixpoint("in"), ref8, parts, "block")
-    assert res == REF8_KMAX
+    assert [kmax for kmax, _ in res] == REF8_KMAX
     # init, then one superstep whose local rounds reach the fixpoint and
     # hold nothing, so the run ends there
     assert metrics.supersteps == 2
@@ -239,21 +237,18 @@ def _reference(program, g, parts=None, phase=""):
 
 
 def _program_factories(g):
-    kmaxes = _reference(HIndexFixpoint("in"), g)[0]
-    lmaxes = _reference(HIndexFixpoint("out"), g)[0]
-    kabove = _reference(KmaxFixpoint(), g)[0]
-    hists = _reference(LmaxHistogram(), g)[0]
-    seeds = [(k, excludes, hist) for (k, excludes), hist in zip(kabove, hists)]
-    lupps = _reference(LuppProgram(list(seeds)), g)[0]
+    ks = _reference(HIndexFixpoint("in"), g)[0]
+    ls = _reference(HIndexFixpoint("out"), g)[0]
+    seeds = [
+        (kmax, khist[kmax + 1] > 0, lmax, lhist) for (kmax, khist), (lmax, lhist) in zip(ks, ls)
+    ]
+    lupps = _reference(LuppProgram(seeds), g)[0]
     return {
         "kmax": lambda: HIndexFixpoint("in"),
         "lmax": lambda: HIndexFixpoint("out"),
-        "kmax-above": KmaxFixpoint,
-        "lmax-hist": LmaxHistogram,
-        # LuppProgram takes each seed out of its list, so each run gets a copy
-        "lupp": lambda: LuppProgram(list(seeds)),
+        "lupp": lambda: LuppProgram(seeds),
         "refine": lambda: RowProgram(lupps),
-        "skyline": lambda: RowProgram(boxes(zip(kmaxes, lmaxes))),
+        "skyline": lambda: RowProgram(boxes((k, l) for k, _, l, _ in seeds)),
     }
 
 
@@ -380,6 +375,26 @@ def test_no_run_counts_an_empty_superstep(source, request):
         runs["kmax+lmax"] = run_programs(pair, g, parts, mode)[1]
         for name, m in runs.items():
             assert m.messages_per_step.index(0) == m.supersteps - 1, (name, parts)
+
+
+def test_extract_from_an_observer_changes_no_run():
+    # An observer may read any vertex's result mid-run: extract every state
+    # of every package program after every superstep, and the results and
+    # metrics stay those of a run that nobody watched.
+    for g in (generate_random_digraph(60, 0.12, seed=2), pa_digraph(60, 3, 1)):
+        makes = [lambda: (HIndexFixpoint("in"), HIndexFixpoint("out"))]
+        makes += [lambda make=make: (make(),) for make in _program_factories(g).values()]
+        for parts, mode in [(None, "vertex"), (hash_partition(g, 3), "block")]:
+            for make in makes:
+                programs = make()
+
+                def observer(step, runs):
+                    for program, states in zip(programs, runs):
+                        for v, state in enumerate(states):
+                            program.extract(state, v, g)
+
+                watched = run_programs(programs, g, parts, mode, observer=observer)
+                assert watched == run_programs(make(), g, parts, mode), (programs, mode)
 
 
 def test_long_path_updates_are_linear():

@@ -57,6 +57,8 @@ def test_parse_n_header_declares_isolated_vertices():
     assert g.n == 4
     assert g.labels == [0, 1, 2, 3]
     assert len(g.out_adj[3]) == 0
+    # a count that is not an integer is a plain comment, so the next header counts
+    assert parse_edge_list("# n=x\n# n=3\n0 1\n").n == 3
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -66,6 +68,8 @@ def test_parse_n_header_declares_isolated_vertices():
     # a form feed ends no line in a text file, so it must not in a str either
     ("1 2\x0c3 4\n", "line 1: expected 2 tokens, got 4"),
     ("1 2\u20283 4\n", "line 1: expected 2 tokens, got 4"),
+    # only the first header counts, so a negative one must not pass silently
+    ("# n=-2\n# n=3\n0 1\n", "line 1: negative vertex count -2"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(EdgeListError, match=fragment):

@@ -49,7 +49,7 @@ def test_tight_init_is_anchored_phase_one_under_its_own_name(source, request):
     for parts, mode in [(None, "vertex"), (make_partition("hash", g, 4), "block")]:
         pairs, m_init = tight_init(g, parts, mode)
         seeds, m_one = compute_kmax_lmax(g, parts, mode)
-        assert pairs == [(kmax, len(hist) - 1) for kmax, _, hist in seeds], mode
+        assert pairs == [(kmax, lmax) for kmax, _, lmax, _ in seeds], mode
         assert (m_init.phase, m_one.phase) == ("init", "phase I")
         assert m_init.messages_per_step == m_one.messages_per_step, mode
         assert m_init.intra_messages == m_one.intra_messages, mode
