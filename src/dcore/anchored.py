@@ -178,11 +178,11 @@ class LuppProgram(VertexProgram):
     slot k's starts at k * stride.  The copies count every out-neighbor in
     every slot, so the one init message, the exclusion (width, lmax, -1)
     with width = kmax + 1, takes the sender out of the slots it is not in:
-    new = -1 means "no longer counted here", as in RowProgram's dead row,
-    for every slot from width on.  Only a vertex with an in-neighbor of
-    larger kmax (excludes) sends it; a vertex that neither an exclusion nor
-    a drop reaches never runs.  after_messages lowers every slot whose top
-    bucket falls short to its H-index, in ascending k.
+    new = -1 means "no longer counted here", for every slot from width on.
+    Only a vertex with an in-neighbor of larger kmax (excludes) sends it; a
+    vertex that neither an exclusion nor a drop reaches never runs.
+    after_messages lowers every slot whose top bucket falls short to its
+    H-index, in ascending k.
     """
 
     broadcast = "in"
@@ -287,24 +287,25 @@ class RowProgram(VertexProgram):
     Row k of v starts at starts[v][k] and only descends.  A round lowers a
     row whose support fell short to the largest l such that at least k
     in-neighbors and at least l out-neighbors have height >= l in their
-    row k, or to -1 when fewer than k in-neighbors reach row k.  The
-    anchored table is the largest set of heights that keeps its supports,
-    and it stays below every iterate, so from any start at or above it
-    (len(starts[v]) > kmax(v), starts[v][k] >= l_max(v, k)) the heights end
-    at the table, -1 past kmax(v).  Phase II's l_upp arrays qualify, and so
-    does the skyline's box [L] * (K + 1): it loses nothing, since at the
-    H-index fixpoints K = kmax(v) is the H-index of the in-neighbors' K and
-    L = lmax(v) that of the out-neighbors' L, and l_max(v, k) <= lmax(v).
-    Boxes of in- and out-degrees qualify too.
+    row k.  The anchored table is the largest set of heights that keeps
+    its supports, and it stays below every iterate, so from any start at
+    or above it with a row for every k up to kmax(v) (len(starts[v]) ==
+    kmax(v) + 1, starts[v][k] >= l_max(v, k)) the heights end at the
+    table.  No row then runs out of support: at l = 0 row k counts every
+    in-neighbor u with kmax(u) >= k, and v has at least k of them.  Phase
+    II's l_upp arrays qualify, and so does the skyline's box [L] * (K + 1):
+    it loses nothing, since at the H-index fixpoints K = kmax(v) is the
+    H-index of the in-neighbors' K and L = lmax(v) that of the
+    out-neighbors' L, and l_max(v, k) <= lmax(v).
 
     A payload is the k-ascending tuple of (k, old, new) triples of the rows
     that dropped; init sends one (k, -1, value) triple per maximal run of
     equal heights, at the run's last row, so a box sends ((K, -1, L),).
     Row k of _RowState's hin/hout is the histogram of the in-/out-neighbors'
-    heights at k, clipped at arr[k]; a dead row (-1) takes no triple.  A
-    row turns dirty only when a count leaves its top bucket, and
-    after_messages walks each dirty row down, folding the buckets it passes
-    into the new top: the counting computeIndex in two dimensions.
+    heights at k, clipped at arr[k].  A row turns dirty only when a count
+    leaves its top bucket, and after_messages walks each dirty row down,
+    folding the buckets it passes into the new top: the counting
+    computeIndex in two dimensions.
     """
 
     broadcast = "both"
@@ -363,8 +364,7 @@ class RowProgram(VertexProgram):
                     tables = st.side.get(sender, st.other)
                 for h in tables:
                     h[pos + a] -= 1
-                    if b >= 0:
-                        h[pos + b] += 1
+                    h[pos + b] += 1
             st.dirty = dirty
 
     def after_messages(self, st, v, g):
@@ -387,11 +387,8 @@ class RowProgram(VertexProgram):
                 l -= 1
                 ci += hin[base + l]
                 co += hout[base + l]
-            if ci < k:
-                l = -1
-            elif l < t:
-                hin[base + l], hout[base + l] = ci, co
             if l < t:
+                hin[base + l], hout[base + l] = ci, co
                 arr[k] = l
                 changed.append((k, t, l))
         if changed:

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from .anchored import anchored_decompose
 from .engine import MODES, SuperstepLimitError
@@ -90,42 +91,44 @@ ALGOS = {
 }
 
 
-def _is_distributed(algo: str) -> bool:
-    return algo != "peel"
+def _placements(algo, modes, blocks, partitioner) -> list:
+    """The (mode, blocks, partitioner) of every run of algo.
+
+    peel takes no placement, so it runs once with all three None; vertex
+    mode takes no partition, so it runs once whatever the block counts;
+    block mode runs once per block count.
+    """
+    if algo == "peel":
+        return [(None, None, None)]
+    runs = []
+    for mode in modes:
+        if mode == "block":
+            runs += [(mode, b, partitioner) for b in blocks]
+        else:
+            runs.append((mode, None, None))
+    return runs
 
 
 def _run_algo(g, algo, mode, blocks, partitioner):
-    """The AnchoredTable, per-phase engine metrics and wall time of one run.
-
-    Only block mode takes a partition; blocks and partitioner are None
-    otherwise.
-    """
+    """The AnchoredTable, per-phase engine metrics and wall time of one run."""
     start = time.perf_counter()
-    parts = make_partition(partitioner, g, blocks) if mode == "block" else None
+    parts = make_partition(partitioner, g, blocks) if blocks else None
     table, phases = ALGOS[algo][0](g, parts, mode)
     return table, phases, time.perf_counter() - start
 
 
-def _check_distributed_flags(args) -> tuple[str | None, int | None, str | None]:
-    """(mode, blocks, partitioner) with defaults filled in.
-
-    All three are None for peel; blocks and partitioner are None in vertex
-    mode, which takes no partition, but --blocks is checked all the same.
-    """
-    if not _is_distributed(args.algo):
-        if args.mode or args.blocks or args.partitioner:
-            raise CliError(f"--mode/--blocks/--partitioner do not apply to --algo {args.algo}")
-        return None, None, None
+def _placement(args) -> tuple[str | None, int | None, str | None]:
+    """The one run of decompose or verify; --blocks is checked even where unused."""
+    if args.algo == "peel" and (args.mode or args.blocks or args.partitioner):
+        raise CliError(f"--mode/--blocks/--partitioner do not apply to --algo {args.algo}")
     blocks = 1 if args.blocks is None else _positive_int(args.blocks, "--blocks")
-    mode = args.mode or "vertex"
-    if mode != "block":
-        return mode, None, None
-    return mode, blocks, args.partitioner or "hash"
+    (run,) = _placements(args.algo, [args.mode or "vertex"], [blocks], args.partitioner or "hash")
+    return run
 
 
 def cmd_decompose(args) -> int:
     g = _load_graph(args.input)
-    mode, blocks, partitioner = _check_distributed_flags(args)
+    mode, blocks, partitioner = _placement(args)
     table, phases, wall = _run_algo(g, args.algo, mode, blocks, partitioner)
     _write_results(args.out, g, ALGOS[args.algo][1](table))
     report = {
@@ -136,13 +139,7 @@ def cmd_decompose(args) -> int:
         "wall_time_s": wall,
         "output": args.out,
         "phases": [
-            {
-                "phase": m.phase,
-                "supersteps": m.supersteps,
-                "messages": m.messages_total,
-                "messages_per_step": m.messages_per_step,
-                "intra_messages": m.intra_messages,
-            }
+            {**asdict(m), "supersteps": m.supersteps, "messages": m.messages_total}
             for m in phases
         ],
         "supersteps_total": sum(m.supersteps for m in phases),
@@ -155,10 +152,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not _is_distributed(args.algo):
+    if args.algo == "peel":
         raise CliError("verify compares a distributed algorithm against peel")
     g = _load_graph(args.input)
-    mode, blocks, partitioner = _check_distributed_flags(args)
+    mode, blocks, partitioner = _placement(args)
     got, _, _ = _run_algo(g, args.algo, mode, blocks, partitioner)
     want = peel_decompose(g)
     for v in range(g.n):
@@ -180,40 +177,24 @@ def cmd_bench(args) -> int:
         [_positive_int(b, "--blocks") for b in args.blocks.split(",")], "--blocks value"
     )
     repeat = _positive_int(args.repeat, "--repeat")
-    # (mode, blocks, partitioner): only block mode takes a partition
-    configs = []
-    for mode in modes:
-        if mode == "block":
-            configs += [(mode, b, args.partitioner) for b in blocks_list]
-        else:
-            configs.append((mode, None, None))
     rows = []
     for algo in algos:
-        # peel takes no mode and no partition
-        algo_configs = configs if _is_distributed(algo) else [(None, None, None)]
-        for mode, blocks, partitioner in algo_configs:
-            metrics_runs = []
-            walls = []
-            for _ in range(repeat):
-                _, phases, wall = _run_algo(g, algo, mode, blocks, partitioner)
-                metrics_runs.append(phases)
-                walls.append(wall)
-            if any(other != metrics_runs[0] for other in metrics_runs[1:]):
+        for mode, blocks, partitioner in _placements(algo, modes, blocks_list, args.partitioner):
+            # (phases, wall) of every repeat
+            runs = [_run_algo(g, algo, mode, blocks, partitioner)[1:] for _ in range(repeat)]
+            phases = runs[0][0]
+            if any(other != phases for other, _ in runs[1:]):
                 raise CliError("nondeterministic metrics across repeats")
-            phases = metrics_runs[0]
-            steps = "+".join(str(m.supersteps) for m in phases) or "-"
-            total = sum(m.supersteps for m in phases)
-            msgs = sum(m.messages_total for m in phases)
             rows.append(
                 (
                     algo,
                     mode or "-",
                     str(blocks) if blocks else "-",
                     partitioner or "-",
-                    steps,
-                    str(total) if phases else "-",
-                    str(msgs) if phases else "-",
-                    f"{min(walls):.3f}",
+                    "+".join(str(m.supersteps) for m in phases) or "-",
+                    str(sum(m.supersteps for m in phases)) if phases else "-",
+                    str(sum(m.messages_total for m in phases)) if phases else "-",
+                    f"{min(wall for _, wall in runs):.3f}",
                 )
             )
     header = ("algo", "mode", "blocks", "part", "steps/phase", "steps", "messages", "wall_s")

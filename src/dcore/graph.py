@@ -56,23 +56,6 @@ class DirectedGraph:
             for v in self.out_adj[u]:
                 yield (u, v)
 
-    def check_consistency(self) -> None:
-        """Validator walk over the adjacency invariants (used by tests)."""
-        assert len(self.in_adj) == self.n and len(self.out_adj) == self.n
-        assert len(self.labels) == self.n
-        assert len(set(self.labels)) == self.n
-        out_sets = [set(a) for a in self.out_adj]
-        in_sets = [set(a) for a in self.in_adj]
-        for v in range(self.n):
-            assert self.out_adj[v] == sorted(out_sets[v]), "unsorted or duplicate out-arc"
-            assert self.in_adj[v] == sorted(in_sets[v]), "unsorted or duplicate in-arc"
-            assert v not in out_sets[v], "self-loop"
-            for u in self.in_adj[v]:
-                assert v in out_sets[u], "in/out adjacency mismatch"
-            for w in self.out_adj[v]:
-                assert v in in_sets[w], "out/in adjacency mismatch"
-        assert sum(len(a) for a in self.in_adj) == sum(len(a) for a in self.out_adj)
-
 
 def build_graph(n: int, arcs, labels: list[int] | None = None) -> DirectedGraph:
     """Build a simple graph from (u, v) dense-ID pairs.
@@ -108,21 +91,11 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
     is the whole text as one str or an iterable of str lines, such as a
     text file handle.
     """
-    label_to_id: dict[int, int] = {}
-    labels: list[int] = []
+    ids: dict[int, int] = {}  # label -> dense ID, in order of first appearance
     arcs: list[tuple[int, int]] = []
     self_loops = 0
     looped: set[int] = set()  # dense IDs named on a self-loop line
     declared_n = None
-
-    def intern(label: int) -> int:
-        dense = label_to_id.get(label)
-        if dense is None:
-            dense = len(labels)
-            label_to_id[label] = dense
-            labels.append(label)
-        return dense
-
     # A str splits at \n, \r and \r\n only, as a text file does; the split
     # lines must not outlive the loop: build_graph is the peak.
     for lineno, raw in enumerate(
@@ -143,7 +116,7 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
                     if declared_n < 0:
                         raise EdgeListError(f"line {lineno}: negative vertex count {declared_n}")
                     for lab in range(declared_n):
-                        intern(lab)
+                        ids.setdefault(lab, len(ids))
             continue
         tokens = line.split()
         if len(tokens) != 2:
@@ -154,11 +127,11 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
             raise EdgeListError(f"line {lineno}: non-integer vertex label") from None
         if a == b:
             self_loops += 1
-            looped.add(intern(a))
+            looped.add(ids.setdefault(a, len(ids)))
             continue
-        arcs.append((intern(a), intern(b)))
+        arcs.append((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
 
-    g = build_graph(len(labels), arcs, labels)
+    g = build_graph(len(ids), arcs, list(ids))
     self_loops -= sum(1 for v in looped if not (g.in_adj[v] or g.out_adj[v]))
     return g, ParseReport(
         self_loops_dropped=self_loops, duplicates_dropped=len(arcs) - g.num_arcs

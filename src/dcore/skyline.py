@@ -13,6 +13,7 @@ in-neighbors and at least l out-neighbors have height >= l at k, or -1
 when fewer than k in-neighbors reach k.  That is the row height of
 anchored.RowProgram, so the D-index iteration is RowProgram started from
 the box [L] * (K + 1), whose init message is the one run ((K, -1, L),).
+The box has a row for every k up to kmax(v), so no height falls to -1.
 The heights end at the anchored table, which skyline_table returns;
 skyline_decompose reads each set off it with peel.anchored_to_skyline.
 """

@@ -122,8 +122,7 @@ drawn_graphs = st.one_of(
 
 # Graphs of the from-scratch comparison and arc-reversal tests: the two
 # fixtures by name, G(n, p) graphs by generate_random_digraph arguments and
-# a skewed graph by pa_digraph arguments after "pa".  The skewed one has
-# neighbors whose staircase height drops from 0 to -1 under degree pairs.
+# a skewed graph by pa_digraph arguments after "pa".
 GRAPH_SOURCES = ["ref7", "ref8", (40, 0.25, 1), (60, 0.12, 2), (80, 0.1, 3), ("pa", 60, 3, 1)]
 
 
@@ -138,6 +137,24 @@ def graph_from(source, request) -> DirectedGraph:
 def boxes(pairs):
     """The skyline D-index's RowProgram starts: [L] * (K + 1) for each (K, L)."""
     return [[L] * (K + 1) for K, L in pairs]
+
+
+def check_consistency(g: DirectedGraph) -> None:
+    """Validator walk over g's adjacency invariants."""
+    assert len(g.in_adj) == g.n and len(g.out_adj) == g.n
+    assert len(g.labels) == g.n
+    assert len(set(g.labels)) == g.n
+    out_sets = [set(a) for a in g.out_adj]
+    in_sets = [set(a) for a in g.in_adj]
+    for v in range(g.n):
+        assert g.out_adj[v] == sorted(out_sets[v]), "unsorted or duplicate out-arc"
+        assert g.in_adj[v] == sorted(in_sets[v]), "unsorted or duplicate in-arc"
+        assert v not in out_sets[v], "self-loop"
+        for u in g.in_adj[v]:
+            assert v in out_sets[u], "in/out adjacency mismatch"
+        for w in g.out_adj[v]:
+            assert v in in_sets[w], "out/in adjacency mismatch"
+    assert sum(len(a) for a in g.in_adj) == sum(len(a) for a in g.out_adj)
 
 
 def reversed_graph(g: DirectedGraph) -> DirectedGraph:

@@ -10,9 +10,10 @@ import pytest
 
 import dcore
 from dcore import cli, engine
-from dcore.anchored import compute_kmax_lmax
+from dcore.anchored import anchored_decompose, compute_kmax_lmax
 from dcore.cli import main
-from dcore.graph import parse_edge_list, write_edge_list
+from dcore.graph import make_partition, parse_edge_list, write_edge_list
+from dcore.skyline import skyline_table
 
 from conftest import REF8_ARCS
 
@@ -39,6 +40,54 @@ def test_decompose_skyline_ref8(ref8_file, tmp_path, capsys):
     assert (report["mode"], report["blocks"], report["partitioner"]) == ("vertex", None, None)
     assert [p["phase"] for p in report["phases"]] == ["init", "d-index"]
     assert report["supersteps_total"] == sum(p["supersteps"] for p in report["phases"])
+
+
+def _library_runs(ref8_file):
+    """Per placement, the engine metrics the library gives on the parsed file."""
+    g = parse_edge_list(ref8_file.read_text())
+    runs = {}
+    for algo, run in [("anchored", anchored_decompose), ("skyline", skyline_table)]:
+        for mode, blocks in [("vertex", None), ("block", 3)]:
+            parts = make_partition("hash", g, blocks) if blocks else None
+            runs[algo, mode, blocks] = run(g, parts, mode)[1]
+    return runs
+
+
+def test_report_phase_records_are_the_library_metrics(ref8_file, tmp_path):
+    for (algo, mode, blocks), phases in _library_runs(ref8_file).items():
+        out = tmp_path / f"{algo}-{mode}.txt"
+        flags = ["--mode", mode] + (["--blocks", str(blocks)] if blocks else [])
+        assert main(["decompose", str(ref8_file), "--algo", algo, *flags, "--out", str(out)]) == 0
+        report = json.loads(Path(str(out) + ".report").read_text())
+        assert report["phases"] == [
+            {
+                "phase": m.phase,
+                "supersteps": m.supersteps,
+                "messages": m.messages_total,
+                "messages_per_step": m.messages_per_step,
+                "intra_messages": m.intra_messages,
+            }
+            for m in phases
+        ], (algo, mode)
+
+
+def test_bench_count_columns_are_the_library_metrics(ref8_file, capsys):
+    rc = main([
+        "bench", str(ref8_file), "--algos", "anchored,skyline", "--modes", "vertex,block",
+        "--blocks", "3",
+    ])
+    assert rc == 0
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:]]
+    want = [
+        [
+            algo, mode, str(blocks) if blocks else "-", "hash" if blocks else "-",
+            "+".join(str(m.supersteps) for m in phases),
+            str(sum(m.supersteps for m in phases)),
+            str(sum(m.messages_total for m in phases)),
+        ]
+        for (algo, mode, blocks), phases in _library_runs(ref8_file).items()
+    ]
+    assert [r[:7] for r in rows] == want
 
 
 def test_decompose_peel_and_anchored_byte_identical(ref8_file, tmp_path):

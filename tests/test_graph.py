@@ -14,6 +14,8 @@ from dcore.graph import (
     write_edge_list,
 )
 
+from conftest import check_consistency
+
 
 def test_parse_two_cycle():
     g = parse_edge_list("0 1\n1 0\n")
@@ -80,7 +82,7 @@ def test_parse_errors_name_the_line(text, fragment):
 
 def test_adjacency_invariants_on_parsed_graph():
     g = parse_edge_list("3 1\n1 3\n1 2\n2 3\n3 3\n1 2\n")
-    g.check_consistency()
+    check_consistency(g)
     assert sum(len(g.in_adj[v]) for v in range(g.n)) == g.num_arcs
 
 
@@ -145,7 +147,7 @@ def test_generator_rejects_negative_n():
 
 def test_generated_graphs_are_consistent():
     for seed in range(5):
-        generate_random_digraph(30, 0.15, seed=seed).check_consistency()
+        check_consistency(generate_random_digraph(30, 0.15, seed=seed))
 
 
 def test_edge_list_round_trip(tmp_path):

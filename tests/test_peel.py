@@ -26,6 +26,7 @@ from conftest import (
     REF8_OUTDEG,
     REF8_SKYLINE,
     GRAPH_SOURCES,
+    check_consistency,
     drawn_graphs,
     graph_from,
 )
@@ -112,7 +113,7 @@ def test_dcore_maximality():
 
 
 def test_ref8_reconstruction_is_faithful(ref8):
-    ref8.check_consistency()
+    check_consistency(ref8)
     assert [len(ref8.in_adj[v]) for v in range(8)] == REF8_INDEG
     assert [len(ref8.out_adj[v]) for v in range(8)] == REF8_OUTDEG
     assert sorted(ref8.labels[u] for u in ref8.in_adj[0]) == [4, 6, 7]
@@ -145,7 +146,7 @@ def test_ref8_table_matches_oracle(ref8):
 
 
 def test_ref7_reconstruction_is_faithful(ref7):
-    ref7.check_consistency()
+    check_consistency(ref7)
     assert dcore(ref7, 2, 2) == set(range(7))
     assert sorted(ref7.labels[u] for u in ref7.in_adj[1]) == [3, 4, 5, 7]
     table = peel_decompose(ref7)

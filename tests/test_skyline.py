@@ -270,10 +270,11 @@ def _d_trace(program, g, parts, mode, read):
 def test_incremental_program_matches_from_scratch_every_superstep(source, request):
     g = graph_from(source, request)
     tight, _ = tight_init(g)
-    # Degree pairs are loose but still bound every neighbor H-index, so the
-    # sets start higher and neighbors drop whole rows of the histograms.
-    degrees = [(len(g.in_adj[v]), len(g.out_adj[v])) for v in range(g.n)]
-    for pairs in (tight, degrees):
+    # (kmax, out-degree) boxes are loose but still bound every neighbor
+    # H-index, and keep RowProgram's kmax(v) + 1 rows, so most sets start
+    # higher and fall further.
+    loose = [(K, len(g.out_adj[v])) for v, (K, _) in enumerate(tight)]
+    for pairs in (tight, loose):
         for mode, parts in [
             ("vertex", None),
             ("block", make_partition("hash", g, 3)),
@@ -327,16 +328,15 @@ def _row_height(ins, outs, k, top):
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
 def test_support_histograms_equal_a_recount_after_every_superstep(source, request):
     # After every superstep, recompute each row height f[k] from its
-    # definition and recount the buckets 0..f[k] (arr[k]) of each live row of
+    # definition and recount the buckets 0..f[k] (arr[k]) of each row of
     # hin/hout, from the last height each neighbor delivered at k, as the
-    # test records it from the deltas.  A dead row (f[k] = -1) takes no
-    # more triples, so its stale buckets are not compared.  After init
-    # (step 1) no message has been delivered and every row is still dirty.
-    # The recorder must also see every delivery the engine counts.
+    # test records it from the deltas.  After init (step 1) no message has
+    # been delivered and every row is still dirty.  The recorder must also
+    # see every delivery the engine counts.
     g = graph_from(source, request)
     tight, _ = tight_init(g)
-    degrees = [(len(g.in_adj[v]), len(g.out_adj[v])) for v in range(g.n)]
-    for pairs in (tight, degrees):
+    loose = [(K, len(g.out_adj[v])) for v, (K, _) in enumerate(tight)]
+    for pairs in (tight, loose):
         for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
             program = RowProgram(boxes(pairs))
             log = record_deliveries(program)
@@ -353,10 +353,9 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
                         outs = [heights.get(u, {}).get(k, -1) for u in g.out_adj[v]]
                         if step > 1:
                             assert t == _row_height(ins, outs, k, st.width - 1), (v, k)
-                        if t >= 0:
-                            row = slice(k * st.width, k * st.width + t + 1)
-                            assert st.hin[row] == clipped_histogram(ins, t), (v, k)
-                            assert st.hout[row] == clipped_histogram(outs, t), (v, k)
+                        row = slice(k * st.width, k * st.width + t + 1)
+                        assert st.hin[row] == clipped_histogram(ins, t), (v, k)
+                        assert st.hout[row] == clipped_histogram(outs, t), (v, k)
                 steps.append(step)
 
             _, metrics = run_program(program, g, parts, mode, observer=observe)
