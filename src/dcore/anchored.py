@@ -65,24 +65,6 @@ from .kernels import h_index  # noqa: F401
 from .peel import AnchoredTable
 
 
-def _lower(hist: list[int], base: int, top: int) -> int:
-    """Fold a clipped histogram down to its H-index and return it.
-
-    hist[base + b] counts the values equal to b, except hist[base + top],
-    which counts every value >= top.  The H-index h is the largest h <= top
-    with at least h values >= h.  The buckets above h are folded into
-    hist[base + h], which leaves the histogram clipped at h; the ones above
-    are never read again.  The caller has found hist[base + top] < top.
-    """
-    c = hist[base + top]
-    h = top
-    while c < h:
-        h -= 1
-        c += hist[base + h]
-    hist[base + h] = c
-    return h
-
-
 class _HState:
     __slots__ = ("value", "hist")
 
@@ -181,8 +163,9 @@ class LuppProgram(VertexProgram):
     new = -1 means "no longer counted here", for every slot from width on.
     Only a vertex with an in-neighbor of larger kmax (excludes) sends it; a
     vertex that neither an exclusion nor a drop reaches never runs.
-    after_messages lowers every slot whose top bucket falls short to its
-    H-index, in ascending k.
+    after_messages walks each slot whose top bucket falls short down its
+    buckets to its H-index, in ascending k, and writes the count of the
+    buckets it passed into the new top, which leaves the slot clipped there.
     """
 
     broadcast = "in"
@@ -224,7 +207,12 @@ class LuppProgram(VertexProgram):
         changed = []
         for k, a in enumerate(arr):
             if hist[k * stride + a] < a:
-                h = _lower(hist, k * stride, a)
+                base = k * stride
+                h, c = a, hist[base + a]
+                while c < h:
+                    h -= 1
+                    c += hist[base + h]
+                hist[base + h] = c
                 arr[k] = h
                 changed.append((k, a, h))
         return tuple(changed) or None

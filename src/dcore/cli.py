@@ -39,7 +39,7 @@ class CliError(Exception):
 
 def _load_graph(path: str) -> DirectedGraph:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             g, report = parse_edge_list_report(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc

@@ -236,8 +236,9 @@ def run_programs(
     longest run's.
 
     parts[v] is the block of vertex v, as hash_partition returns it.  mode
-    "block" needs parts and holds only cross-block messages; a block's
-    superstep ends after its first round that sends nothing inside it.
+    "block" needs parts, one entry per vertex (ValueError otherwise), and
+    holds only cross-block messages; a block's superstep ends after its
+    first round that sends nothing inside it.
     messages_per_step counts the initial broadcast plus cross-block traffic
     and intra_messages the deliveries kept inside a block after init.  mode
     "vertex" ignores parts and treats every recipient as outside the
@@ -257,6 +258,8 @@ def run_programs(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "block" and parts is None:
         raise ValueError("block mode requires a partition")
+    if mode == "block" and len(parts) != g.n:
+        raise ValueError(f"partition has {len(parts)} entries for {g.n} vertices")
     block_of = parts if mode == "block" else None
     cap = default_superstep_cap(g)
     runs = [_Run(program, g, block_of, cap) for program in programs]

@@ -30,14 +30,6 @@ def h_index(values) -> int:
     return h
 
 
-def is_canonical_skyline(pairs) -> bool:
-    """True when pairs form an antichain sorted by ascending k."""
-    for (k1, l1), (k2, l2) in zip(pairs, pairs[1:]):
-        if not (k1 < k2 and l1 > l2):
-            return False
-    return all(k >= 0 and l >= 0 for k, l in pairs)
-
-
 def d_index(r_in, r_out) -> list[Pair]:
     """Two-dimensional H-index of two pair multisets.
 

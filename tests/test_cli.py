@@ -173,6 +173,21 @@ def test_non_utf8_input_is_a_usage_error(command, tmp_path, capsys):
     _one_line_error(capsys, str(src), "UTF-8")
 
 
+@pytest.mark.parametrize("header", ["", "# ref8\n"])
+def test_input_with_a_byte_order_mark_reads_as_without(header, ref8_file, tmp_path, capsys):
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + header.encode() + ref8_file.read_bytes())
+    outs = []
+    for src in (ref8_file, bom):
+        out = tmp_path / f"{src.stem}-out.txt"
+        assert main(["decompose", str(src), "--algo", "skyline", "--out", str(out)]) == 0
+        outs.append(out.read_text())
+        capsys.readouterr()
+        assert main(["verify", str(src), "--algo", "anchored"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[:2] == outs[2:]
+
+
 def test_decompose_unwritable_out_is_a_usage_error(ref8_file, tmp_path, capsys):
     for out in (tmp_path / "missing" / "x.txt", tmp_path):
         rc = main(["decompose", str(ref8_file), "--algo", "peel", "--out", str(out)])

@@ -138,6 +138,14 @@ def test_vertex_mode_ignores_partitioning(ref8):
         assert m == m_base
 
 
+def test_block_mode_rejects_a_partition_of_another_length(ref8):
+    for parts in ([0, 1, 0], [0] * (ref8.n + 1)):
+        with pytest.raises(ValueError, match=f"{len(parts)} entries for {ref8.n} vertices"):
+            anchored_decompose(ref8, parts, "block")
+    # vertex mode ignores the partition
+    assert anchored_decompose(ref8, [0], "vertex")[0] == anchored_decompose(ref8)[0]
+
+
 def test_single_block_converges_in_two_supersteps_after_init(ref8):
     parts = hash_partition(ref8, 1)
     res, metrics = run_program(HIndexFixpoint("in"), ref8, parts, "block")

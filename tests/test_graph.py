@@ -61,6 +61,8 @@ def test_parse_n_header_declares_isolated_vertices():
     assert len(g.out_adj[3]) == 0
     # a count that is not an integer is a plain comment, so the next header counts
     assert parse_edge_list("# n=x\n# n=3\n0 1\n").n == 3
+    # only the first header counts, so a later one is a plain comment
+    assert parse_edge_list("# n=2\n# n=5\n0 1\n").n == 2
 
 
 @pytest.mark.parametrize("text,fragment", [
