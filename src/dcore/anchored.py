@@ -47,12 +47,15 @@ Phase III is RowProgram, the program of the skyline D-index started from
 the l_upp arrays instead of a (kmax, lmax) box.  Row k of a flat in- and
 a flat out-table is the clipped histogram of the neighbors' values at
 slot k, and its top bucket, at the slot's own bound, is the slot's
-support.  A payload is the tuple of (k, old, new) triples of the slots
-lowered; the init message has one (k, -1, value) triple per maximal run
-of equal slots, which the first after_messages sums into the histograms.
-A slot whose support falls short walks down its row to the largest value
-that at least k in-neighbors and that many out-neighbors reach, so a slot
-that falls several steps sends one triple in one superstep.
+support.  Phase II's final slot histograms are exactly phase III's
+out-tables, so compute_lupp hands them over with the l_upp arrays and
+refine folds into them.  A payload is the tuple of (k, old, new) triples
+of the slots lowered; the init message has one (k, -1, value) triple per
+maximal run of equal slots.  It goes only to the out-neighbors, whose
+first after_messages sums it into their in-tables.  A slot whose support
+falls short walks down its row to the largest value that at least k
+in-neighbors and that many out-neighbors reach, so a slot that falls
+several steps sends one triple in one superstep.
 """
 
 from __future__ import annotations
@@ -166,6 +169,9 @@ class LuppProgram(VertexProgram):
     after_messages walks each slot whose top bucket falls short down its
     buckets to its H-index, in ascending k, and writes the count of the
     buckets it passed into the new top, which leaves the slot clipped there.
+    extract returns (arr, hist), the state's own lists: at the fixpoint
+    hist is phase III's out-table, whose width lmax + 1 is max(arr) + 1,
+    since slot 0 never drops (l_upp(v, 0) = lmax(v)).
     """
 
     broadcast = "in"
@@ -179,9 +185,7 @@ class LuppProgram(VertexProgram):
         width = kmax + 1
         st.arr = [lmax] * width
         st.stride = lmax + 1
-        row = hist[: lmax + 1]
-        row[lmax] += hist[lmax + 1]
-        st.hist = row * width
+        st.hist = lmax_rows(kmax, lmax, hist)
         return st, (((width, lmax, -1),) if excludes else None)
 
     def on_broadcast(self, targets, sender, payload):
@@ -218,26 +222,40 @@ class LuppProgram(VertexProgram):
         return tuple(changed) or None
 
     def extract(self, st, v, g):
-        return list(st.arr)
+        return st.arr, st.hist
+
+
+def lmax_rows(kmax: int, lmax: int, hist: list[int]) -> list[int]:
+    """kmax + 1 copies of the lmax fixpoint's final histogram, clipped at lmax.
+
+    hist is phase I's (lmax + 2 buckets, the last one counting the
+    out-neighbors strictly above lmax); its top two buckets are merged.
+    This is phase II's start table and the D-index's out-table.
+    """
+    row = hist[: lmax + 1]
+    row[lmax] += hist[lmax + 1]
+    return row * (kmax + 1)
 
 
 class _RowState:
     """Heights arr and per-row in- and out-histograms, as RowProgram reads them.
 
-    hin/hout are flat len(arr) x width tables, width = max(arr) + 1.  side
-    maps each neighbor on the smaller of the two sides to the tables it
-    counts in, one or both; every other neighbor counts in other, the
-    larger side's table, which keeps the map to about half the degree.
-    dirty is a bitmask of rows, -1 until the first after_messages calls seed.
+    hin/hout are flat len(arr) x width tables, width > max(arr).  hout is
+    the out-table the vertex was handed, the list itself; hin starts empty
+    and is filled by the in-neighbors' init runs.  side maps each neighbor
+    on the smaller of the two sides to the tables it counts in, one or
+    both; every other neighbor counts in other, the larger side's table,
+    which keeps the map to about half the degree.  The tuples hold hin and
+    hout themselves, so `tables[-1] is hout` tells an out-neighbor.  dirty
+    is a bitmask of rows, -1 until the first after_messages calls seed.
     """
 
     __slots__ = ("arr", "width", "side", "other", "hin", "hout", "dirty")
 
-    def __init__(self, v, g, arr):
-        width = max(arr) + 1
-        self.arr, self.width = arr, width
-        self.hin = [0] * (len(arr) * width)
-        self.hout = [0] * (len(arr) * width)
+    def __init__(self, v, g, arr, hout):
+        self.arr, self.width = arr, len(hout) // len(arr)
+        self.hin = [0] * len(hout)
+        self.hout = hout
         ins, outs = g.in_adj[v], g.out_adj[v]
         if len(ins) <= len(outs):
             side = dict.fromkeys(ins, (self.hin,))
@@ -252,83 +270,125 @@ class _RowState:
         self.dirty = -1
 
     def seed(self) -> int:
-        """Turn the init counts into clipped histograms; return every row's bit.
+        """Turn the init counts into clipped in-histograms; return every row's bit.
 
-        Row k becomes the sum of rows k.., so it counts each neighbor that
-        reaches k at its height there, and its buckets above arr[k] are
-        folded into bucket arr[k].
+        Row k of hin becomes the sum of rows k.., so it counts each
+        in-neighbor that reaches k at its height there, and its buckets
+        above arr[k] are folded into bucket arr[k].  hout came clipped.
         """
-        arr, width, hin, hout = self.arr, self.width, self.hin, self.hout
-        for h in (hin, hout):
-            for i in range(len(h) - width - 1, -1, -1):
-                h[i] += h[i + width]
+        arr, width, hin = self.arr, self.width, self.hin
+        for i in range(len(hin) - width - 1, -1, -1):
+            hin[i] += hin[i + width]
         for k, t in enumerate(arr):
             if t < width - 1:
-                top, end = k * width + t, (k + 1) * width
-                hin[top], hout[top] = sum(hin[top:end]), sum(hout[top:end])
+                top = k * width + t
+                hin[top] = sum(hin[top : (k + 1) * width])
         return (1 << len(arr)) - 1
 
 
 class RowProgram(VertexProgram):
     """Phase III and the skyline D-index: a 2-D H-index per row.
 
-    Row k of v starts at starts[v][k] and only descends.  A round lowers a
-    row whose support fell short to the largest l such that at least k
+    Row k of v starts at starts[v][0][k] and only descends.  A round lowers
+    a row whose support fell short to the largest l such that at least k
     in-neighbors and at least l out-neighbors have height >= l in their
     row k.  The anchored table is the largest set of heights that keeps
     its supports, and it stays below every iterate, so from any start at
-    or above it with a row for every k up to kmax(v) (len(starts[v]) ==
-    kmax(v) + 1, starts[v][k] >= l_max(v, k)) the heights end at the
-    table.  No row then runs out of support: at l = 0 row k counts every
-    in-neighbor u with kmax(u) >= k, and v has at least k of them.  Phase
-    II's l_upp arrays qualify, and so does the skyline's box [L] * (K + 1):
-    it loses nothing, since at the H-index fixpoints K = kmax(v) is the
-    H-index of the in-neighbors' K and L = lmax(v) that of the
-    out-neighbors' L, and l_max(v, k) <= lmax(v).
+    or above it with a row for every k up to kmax(v) (kmax(v) + 1 rows,
+    each at or above l_max(v, k)) the heights end at the table.  No row
+    then runs out of support: at l = 0 row k counts every in-neighbor u
+    with kmax(u) >= k, and v has at least k of them.  Phase II's l_upp
+    arrays qualify, and so does the skyline's box [L] * (K + 1): it loses
+    nothing, since at the H-index fixpoints K = kmax(v) is the H-index of
+    the in-neighbors' K and L = lmax(v) that of the out-neighbors' L, and
+    l_max(v, k) <= lmax(v).
+
+    starts[v] is (arr, out_table): the start heights and v's out-table,
+    len(arr) rows of one width, at least max(arr) + 1, whose row k is the
+    histogram of the out-neighbors' start heights at k clipped at arr[k]
+    (an out-neighbor with no row k is not counted there).  The program
+    folds into both lists, so a starts list serves one run.  Phase III
+    hands over phase II's final slot histograms, and the D-index
+    lmax_rows, which counts every out-neighbor in every row; excludes[v]
+    says that v is not counted past its last row in some in-neighbor's
+    out-table (phase I's excludes), None that no vertex is.
 
     A payload is the k-ascending tuple of (k, old, new) triples of the rows
     that dropped; init sends one (k, -1, value) triple per maximal run of
     equal heights, at the run's last row, so a box sends ((K, -1, L),).
-    Row k of _RowState's hin/hout is the histogram of the in-/out-neighbors'
-    heights at k, clipped at arr[k].  A row turns dirty only when a count
-    leaves its top bucket, and after_messages walks each dirty row down,
-    folding the buckets it passes into the new top: the counting
-    computeIndex in two dimensions.
+    Since every vertex holds its out-table, init goes only to the
+    out-neighbors, which count the runs in their in-tables; an excluding
+    vertex sends it to all its neighbors, and those that count it in
+    their out-table take it out of their rows past its last.  A vertex
+    with no in-neighbor may get no init mail, so it walks its one row at
+    init.  Row k of _RowState's hin/hout is the histogram of the in-/
+    out-neighbors' heights at k, clipped at arr[k].  A row turns dirty
+    only when a count leaves its top bucket, and after_messages walks each
+    dirty row down, folding the buckets it passes into the new top: the
+    counting computeIndex in two dimensions.
     """
 
     broadcast = "both"
 
-    def __init__(self, starts: list[list[int]]):
-        self.starts = starts
+    def __init__(self, starts: list, excludes: list[bool] | None = None):
+        self.starts, self.excludes = starts, excludes
+
+    def init_recipients(self, g):
+        if self.excludes is None:
+            return g.out_adj
+        return [b if x else o for o, b, x in zip(g.out_adj, g.both_adj, self.excludes)]
 
     def init(self, v, g):
-        arr = list(self.starts[v])
+        arr, hout = self.starts[v]
+        st = _RowState(v, g, arr, hout)
+        if not g.in_adj[v]:
+            # kmax(v) = 0 and nothing to seed: walk the one row, which needs
+            # only out-neighbors, now, since no init may reach v
+            l = arr[0]
+            c = hout[l]
+            while c < l:
+                l -= 1
+                c += hout[l]
+            hout[l], arr[0] = c, l
+            st.dirty = 0
         last = len(arr) - 1
         runs = tuple((k, -1, a) for k, a in enumerate(arr) if k == last or arr[k + 1] != a)
-        return _RowState(v, g, arr), runs
+        return st, runs
 
     def on_broadcast(self, targets, sender, payload):
         """Fold one payload into every target's histograms.
 
-        An init run (k, -1, value) is counted in row min(k, last row) and
-        the next run takes its value back out of that row, so summing the
-        rows downward (_RowState.seed) counts the sender in every row it
-        reaches.  After init a triple moves one count per table of the
+        An init run (k, -1, value) is counted in the in-table's row
+        min(k, last row) and the next run takes its value back out of that
+        row, so summing the rows downward (_RowState.seed) counts the
+        sender in every row it reaches.  An excluding sender's init also
+        reaches the vertices that count it in their out-table, at
+        min(value, arr[j]) in every row j, and leaves their rows past its
+        last.  After init a triple moves one count per table of the
         sender's side, from the old height clipped to arr[k] to the new
         one, unless the new height is at or above arr[k].
         """
         if payload[0][1] < 0:
+            excludes = self.excludes is not None and self.excludes[sender]
             for st in targets:
-                width, last = st.width, len(st.arr) - 1
-                tables = st.side.get(sender, st.other)
+                arr, width, hin = st.arr, st.width, st.hin
+                last = len(arr) - 1
+                if excludes:
+                    tables = st.side.get(sender, st.other)
+                    if tables[-1] is st.hout:
+                        k, _, value = payload[-1]
+                        hout = st.hout
+                        for j in range(k + 1, last + 1):
+                            a = arr[j]
+                            hout[j * width + (value if value < a else a)] -= 1
+                    if tables[0] is not hin:
+                        continue
                 prev = -1
                 for k, _, new in payload:
                     b = new if new < width else width - 1
-                    pos = (k if k < last else last) * width + b
-                    for h in tables:
-                        if prev >= 0:
-                            h[prev + b] -= 1
-                        h[pos] += 1
+                    if prev >= 0:
+                        hin[prev + b] -= 1
+                    hin[(k if k < last else last) * width + b] += 1
                     if k >= last:
                         break
                     prev = k * width
@@ -432,22 +492,27 @@ def compute_lupp(
     parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
-) -> tuple[list[list[int]], EngineMetrics]:
-    """Per-vertex upper-bound arrays l_upp(k, v) for k in [0, kmax(v)].
+) -> tuple[list[tuple[list[int], list[int]]], EngineMetrics]:
+    """Per-vertex (l_upp, table): the upper bounds l_upp(k, v) for k in
+    [0, kmax(v)] and the final slot histograms of phase II.
 
-    seeds is compute_kmax_lmax's result, which this only reads.
+    table is phase III's out-table for refine, lmax(v) + 1 buckets per
+    slot.  seeds is compute_kmax_lmax's result, which this only reads.
     """
     return run_program(LuppProgram(seeds), g, parts, mode, phase="phase II", **kwargs)
 
 
 def refine(
     g: DirectedGraph,
-    lupps: list[list[int]],
+    lupps: list[tuple[list[int], list[int]]],
     parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
 ) -> tuple[AnchoredTable, EngineMetrics]:
-    """Tighten the upper bounds to the exact anchored corenesses."""
+    """Tighten the upper bounds to the exact anchored corenesses.
+
+    lupps is compute_lupp's result, whose lists this folds into.
+    """
     rows, metrics = run_program(
         RowProgram(lupps), g, parts, mode, phase="phase III", **kwargs
     )

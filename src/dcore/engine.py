@@ -33,7 +33,10 @@ of one block-mode superstep.  Programs may therefore send deltas against
 their previous payload.  Payloads of distinct senders arrive in no
 promised order, so their folds must be commutative across senders.  All
 init messages are delivered before any vertex runs after_messages, so a
-program may seed state from them in its first call.
+program may seed state from them in its first call.  A program names
+each vertex's init recipients (init_recipients), by default its broadcast
+list; init mail is always held for the next superstep, so block mode
+needs no split for it.
 
 Scheduling is Pregel's rule, in which only a message wakes a halted
 vertex.  Init is every vertex's first step.  After init, a round hands each
@@ -100,6 +103,14 @@ class VertexProgram:
         """Return (state, initial payload or None)."""
         raise NotImplementedError
 
+    def init_recipients(self, g: DirectedGraph) -> list[list[int]]:
+        """Each vertex's recipients of its init payload: its broadcast list.
+
+        A program whose vertices already know what some neighbors would
+        tell them at init overrides this to send to fewer of them.
+        """
+        return _recipients(self, g)
+
     def on_broadcast(self, targets, sender: int, payload) -> None:
         """Fold one payload of sender into each recipient state of targets.
 
@@ -158,21 +169,25 @@ class _Run:
 
     def __init__(self, program: VertexProgram, g: DirectedGraph, block_of, cap: int):
         self.program, self.g, self.block_of, self.cap = program, g, block_of, cap
-        self.recipients = recipients = _recipients(program, g)
+        recipients = _recipients(program, g)
         if block_of is None:
             self.held_to, self.local_to = recipients, [()] * g.n
         else:
             self.held_to, self.local_to = [], []
-            for v, rs in enumerate(recipients):
-                self.held_to.append([r for r in rs if block_of[r] != block_of[v]])
-                self.local_to.append([r for r in rs if block_of[r] == block_of[v]])
+            for rs, b in zip(recipients, block_of):
+                held, local = [], []
+                for r in rs:
+                    (local if block_of[r] == b else held).append(r)
+                self.held_to.append(held)
+                self.local_to.append(local)
         self.states = [None] * g.n
         self.held: list[tuple[int, object, list[int]]] = []
         self.intra = 0  # deliveries kept inside a block after init
 
     def init(self) -> int:
         """Run init at every vertex and hold its payloads; return their deliveries."""
-        init, g, recipients = self.program.init, self.g, self.recipients
+        init, g = self.program.init, self.g
+        recipients = self.program.init_recipients(g)
         states, held = self.states, self.held
         for v in range(g.n):
             states[v], payload = init(v, g)

@@ -14,13 +14,18 @@ when fewer than k in-neighbors reach k.  That is the row height of
 anchored.RowProgram, so the D-index iteration is RowProgram started from
 the box [L] * (K + 1), whose init message is the one run ((K, -1, L),).
 The box has a row for every k up to kmax(v), so no height falls to -1.
+Its out-table is phase I's lmax histogram in every row (lmax_rows), which
+counts every out-neighbor at its L, so init goes only to the
+out-neighbors, for their in-tables.  A vertex with an in-neighbor of
+larger kmax (phase I's excludes) sends its run to all its neighbors, and
+those that count it in their out-table take it out of their rows past K.
 The heights end at the anchored table, which skyline_table returns;
 skyline_decompose reads each set off it with peel.anchored_to_skyline.
 """
 
 from __future__ import annotations
 
-from .anchored import RowProgram, compute_kmax_lmax
+from .anchored import RowProgram, compute_kmax_lmax, lmax_rows
 from .engine import EngineMetrics, run_program
 from .graph import DirectedGraph
 from .kernels import Pair
@@ -35,14 +40,15 @@ def tight_init(
     parts: list[int] | None = None,
     mode: str = "vertex",
     **kwargs,
-) -> tuple[list[Pair], EngineMetrics]:
-    """Per-vertex (kmax(v), lmax(v)) start pairs: anchored's phase I as "init".
+) -> tuple[list[tuple[int, bool, int, list[int]]], EngineMetrics]:
+    """Anchored's phase I as "init": one (K, excludes, L, hist) per vertex.
 
-    Each returned pair weakly dominates every skyline pair of its vertex,
-    so the D-index iteration can only descend from it.
+    Each (K, L) = (kmax(v), lmax(v)) weakly dominates every skyline pair of
+    its vertex, so the D-index iteration can only descend from it.
+    excludes and the lmax histogram hist give the D-index its out-tables
+    (anchored.compute_kmax_lmax).
     """
-    seeds, metrics = compute_kmax_lmax(g, parts, mode, phase="init", **kwargs)
-    return [(kmax, lmax) for kmax, _, lmax, _ in seeds], metrics
+    return compute_kmax_lmax(g, parts, mode, phase="init", **kwargs)
 
 
 def skyline_table(
@@ -52,9 +58,12 @@ def skyline_table(
     **kwargs,
 ) -> tuple[AnchoredTable, list[EngineMetrics]]:
     """The D-index's converged heights, equal to peel_decompose(g), plus metrics."""
-    pairs, m_init = tight_init(g, parts, mode, **kwargs)
-    boxes = [[L] * (K + 1) for K, L in pairs]
-    heights, m_d = run_program(RowProgram(boxes), g, parts, mode, phase="d-index", **kwargs)
+    seeds, m_init = tight_init(g, parts, mode, **kwargs)
+    starts = [([L] * (K + 1), lmax_rows(K, L, hist)) for K, _, L, hist in seeds]
+    program = RowProgram(starts, [excludes for _, excludes, _, _ in seeds])
+    # the out-tables are copies, so phase I's histograms are dead now
+    del seeds
+    heights, m_d = run_program(program, g, parts, mode, phase="d-index", **kwargs)
     return AnchoredTable(heights), [m_init, m_d]
 
 

@@ -9,7 +9,8 @@ NaiveLuppProgram and NaiveRefineProgram are the anchored phases without
 support counters: every flagged value is recomputed by a full scan of the
 neighbors' latest values, with naive_h_index in phases I and II and, in
 phase III, by a walk down from the slot's bound that counts both supports
-at every step.
+at every step.  with_out_tables gives RowProgram the exact out-table of
+any start, counted neighbor by neighbor.
 """
 
 from __future__ import annotations
@@ -108,6 +109,26 @@ def set_dominated_by(r2, r1):
     return all(any(k <= k1 and l <= l1 for (k1, l1) in r1) for (k, l) in r2)
 
 
+def with_out_tables(g, starts):
+    """RowProgram's starts for the row lists starts: (arr, out-table) per vertex.
+
+    Row k of v's out-table, max(arr) + 1 buckets wide, counts each
+    out-neighbor u with a row k at min(starts[u][k], arr[k]).  Every call
+    returns new lists, since RowProgram folds into them.
+    """
+    out = []
+    for v, arr in enumerate(starts):
+        table = []
+        for k, a in enumerate(arr):
+            row = [0] * (max(arr) + 1)
+            for u in g.out_adj[v]:
+                if k < len(starts[u]):
+                    row[min(starts[u][k], a)] += 1
+            table += row
+        out.append((list(arr), table))
+    return out
+
+
 def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
     """Full-sweep superstep scheduler: every vertex runs in every round.
 
@@ -116,8 +137,8 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
     block; cross-block messages wait for the next superstep.  block_of=None
     is vertex mode: one block in which every message counts as crossing, so
     each superstep is one round and all messages wait for the next one.
-    A run stops after a superstep that holds nothing for the next one.
-    Returns (results, supersteps, messages per superstep, intra messages).
+    Init payloads go to the program's init_recipients and wait too.  A run
+    stops after a superstep that holds nothing for the next one.  Returns (results, supersteps, messages per superstep, intra messages).
     """
     n = g.n
     if program.broadcast == "out":
@@ -129,10 +150,11 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
     blocks = [0] * n if block_of is None else list(block_of)
     states = [None] * n
     waiting = []  # (sender, recipient, payload) held for the next superstep
+    init_targets = program.init_recipients(g)
     for v in range(n):
         states[v], payload = program.init(v, g)
         if payload is not None:
-            waiting += [(v, r, payload) for r in targets[v]]
+            waiting += [(v, r, payload) for r in init_targets[v]]
     per_step = [len(waiting)]
     intra = 0
     while waiting:
@@ -172,7 +194,10 @@ class NaiveSkylineProgram(VertexProgram):
 
     Each vertex caches the latest set of every neighbor and, when any
     message arrived, recomputes d_index_over_sets from scratch.  The payload
-    is the bare canonical set.
+    is the bare canonical set.  Each vertex starts out knowing its
+    out-neighbors' start pairs, as RowProgram knows them through its
+    out-table, so init goes to the out-neighbors only; a vertex with no
+    in-neighbor, which may get no mail, computes its set at init.
     """
 
     broadcast = "both"
@@ -180,11 +205,16 @@ class NaiveSkylineProgram(VertexProgram):
     def __init__(self, init_pairs):
         self.init_pairs = init_pairs
 
+    def init_recipients(self, g):
+        return g.out_adj
+
     def init(self, v, g):
         st = _SkyState()
         st.d = (self.init_pairs[v],)
-        st.nbr = {}
+        st.nbr = {u: (self.init_pairs[u],) for u in g.out_adj[v]}
         st.flag = True
+        if not g.in_adj[v]:
+            self.after_messages(st, v, g)
         return st, st.d
 
     def on_message(self, st, sender, payload):
@@ -319,7 +349,10 @@ class NaiveRefineProgram(VertexProgram):
 
     A flagged slot with bound t drops to the largest t' <= t with at least
     k in-supports and at least t' out-supports at k, or to -1 when no t'
-    has them.
+    has them.  Each vertex starts out knowing its out-neighbors' start
+    arrays, as RowProgram knows them through its out-table, so init goes
+    to the out-neighbors only; a vertex with no in-neighbor, which may get
+    no mail, checks its slots at init.
     """
 
     broadcast = "both"
@@ -327,11 +360,16 @@ class NaiveRefineProgram(VertexProgram):
     def __init__(self, lupps):
         self.lupps = lupps
 
+    def init_recipients(self, g):
+        return g.out_adj
+
     def init(self, v, g):
         st = _ArrayState()
         st.arr = list(self.lupps[v])
-        st.nbr = {}
+        st.nbr = {u: tuple(self.lupps[u]) for u in g.out_adj[v]}
         st.flags = set(range(len(st.arr)))
+        if not g.in_adj[v]:
+            self.after_messages(st, v, g)
         return st, (tuple(st.arr), tuple(range(len(st.arr))))
 
     def on_message(self, st, sender, payload):

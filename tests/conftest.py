@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dcore.graph import DirectedGraph, build_graph, generate_random_digraph
+from dcore.skyline import tight_init
 
 # 8-vertex reference graph, labels 1..8.  Small enough to check by hand,
 # rich enough to exercise every phase: heterogeneous kmax (vertex 7 lags),
@@ -135,8 +136,13 @@ def graph_from(source, request) -> DirectedGraph:
 
 
 def boxes(pairs):
-    """The skyline D-index's RowProgram starts: [L] * (K + 1) for each (K, L)."""
+    """The skyline D-index's start rows: [L] * (K + 1) for each (K, L)."""
     return [[L] * (K + 1) for K, L in pairs]
+
+
+def tight_pairs(g, parts=None, mode="vertex"):
+    """tight_init's (K, L) = (kmax(v), lmax(v)) for every vertex."""
+    return [(K, L) for K, _, L, _ in tight_init(g, parts, mode)[0]]
 
 
 def check_consistency(g: DirectedGraph) -> None:
@@ -197,35 +203,47 @@ def record_deliveries(program, start=None) -> DeliveryLog:
     Wraps program.on_broadcast and checks each recipient state of each
     call before forwarding them all, as a list, to the program.  Values are
     ints for (old, new) payloads and dicts {k: value} for payloads of
-    (k, old, new) triples.  start, given for phases I and II, is each
-    sender's start value (in every one of its slots), and a value it never
-    sent stays there; an H-index init is a drop from n, above every value,
-    so phase I's start is n.  Phase II's exclusion (width, lmax, -1) stands
-    for (j, lmax, -1) for every slot j >= width of the receiver: the sender
-    is no longer counted there.  RowProgram's init triple (k, -1, value) stands for (j,
-    -1, value) for every j after the previous triple's k up to k.  A
-    delta's old must equal the value recorded before it (start[sender], or
-    -1 when start is None), which checks that every delta arrives exactly
-    once and in order.
+    (k, old, new) triples.  start gives each sender's value before its
+    first delta: an int for every slot (phases I and II), or RowProgram's
+    start list, whose rows an out-neighbor's table counts from the start
+    (-1 past its last row); a value the sender never sent stays there.  An
+    H-index init is a drop from n, above every value, so phase I's start
+    is n.  Phase II's exclusion (width, lmax, -1) stands for (j, lmax, -1)
+    for every slot j >= width of the receiver: the sender is no longer
+    counted there.  RowProgram's init triple (k, -1, value) stands for (j,
+    -1, value) for every j after the previous triple's k up to k, and must
+    be the first value delivered at j.  Any other delta's old must equal
+    the value recorded before it, which checks that every delta arrives
+    exactly once and in order.
     """
     log = DeliveryLog()
     hook = program.on_broadcast
 
+    def before(sender, k):
+        if start is None:
+            return -1
+        value = start[sender]
+        if isinstance(value, int):
+            return value
+        return value[k] if k < len(value) else -1
+
     def on_broadcast(targets, sender, payload):
         targets = list(targets)
         log.count += len(targets)
-        before = -1 if start is None else start[sender]
         for state in targets:
             seen = log.last.setdefault(id(state), {})
             if isinstance(payload[0], int):
                 old, new = payload
-                assert seen.get(sender, before) == old, (sender, payload)
+                assert seen.get(sender, before(sender, 0)) == old, (sender, payload)
                 seen[sender] = new
             else:
                 slots = seen.setdefault(sender, {})
                 count = None if start is None else len(state.arr)
                 for k, old, new in _delta_triples(payload, count):
-                    assert slots.get(k, before) == old, (sender, k, payload)
+                    if old < 0:
+                        assert k not in slots, (sender, k, payload)
+                    else:
+                        assert slots.get(k, before(sender, k)) == old, (sender, k, payload)
                     slots[k] = new
         hook(targets, sender, payload)
 

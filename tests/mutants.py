@@ -84,6 +84,55 @@ MUTANTS = (
         ("tests/test_skyline.py",),
     ),
     Mutant(
+        "src/dcore/anchored.py",
+        "                    a = t\n                    dirty |= 1 << k",
+        "                    dirty |= 1 << k",
+        "RowProgram moves an old height above the row's bound out of a bucket it never filled",
+        ("tests/test_skyline.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "for j in range(k + 1, last + 1):",
+        "for j in range(k + 2, last + 1):",
+        "the D-index exclusion starts one row late",
+        ("tests/test_skyline.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "if tables[-1] is st.hout:",
+        "if tables[0] is st.hout:",
+        "the D-index exclusion is not applied when the sender is also an in-neighbor",
+        ("tests/test_skyline.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "b if x else o",
+        "o",
+        "an excluding vertex sends its D-index init only to its out-neighbors",
+        ("tests/test_skyline.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "            hin[i] += hin[i + width]\n",
+        "            hin[i] += hin[i + width]\n            self.hout[i] += self.hout[i + width]\n",
+        "RowProgram's seed sums the inherited out-table's rows as if they were init counts",
+        ("tests/test_skyline.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "if not g.in_adj[v]:",
+        "if False:",
+        "a vertex with no in-neighbor, which no init may reach, never checks its row",
+        ("tests/test_skyline.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "st.hist = [0] * (st.value + 1) + [st.value]",
+        "st.hist = [0] * st.value + [st.value, 0]",
+        "phase I's init counts every neighbor at the vertex's value, not strictly above it",
+        ("tests/test_anchored.py",),
+    ),
+    Mutant(
         "src/dcore/engine.py",
         "on_broadcast(map(state_of, rs), s, payload)",
         "on_broadcast(map(state_of, rs[:-1]), s, payload)",

@@ -28,9 +28,9 @@ from dcore.peel import (
     peel_decompose,
     skyline_of,
 )
-from dcore.skyline import skyline_decompose, tight_init
+from dcore.skyline import skyline_decompose
 
-from _naive import naive_skyline, set_dominated_by
+from _naive import naive_skyline, set_dominated_by, with_out_tables
 from conftest import (
     REF8_KMAX,
     REF8_LMAX,
@@ -38,6 +38,7 @@ from conftest import (
     REF8_SKYLINE,
     boxes,
     require_dataset,
+    tight_pairs,
 )
 
 
@@ -63,7 +64,8 @@ def test_criterion_2_fixture_reproduction(ref8):
     from dcore.anchored import compute_lupp, refine
 
     lupps, _ = compute_lupp(ref8, compute_kmax_lmax(ref8)[0])
-    ok_l = lupps == REF8_LUPP and lupps[7] == [1, 1, 0]
+    bounds = [arr for arr, _ in lupps]
+    ok_l = bounds == REF8_LUPP and bounds[7] == [1, 1, 0]
     table, _ = refine(ref8, lupps)
     ok_r = table.rows == REF8_LMAX and table.rows[6] == [2, 1]
     skys, _ = skyline_decompose(ref8)
@@ -175,10 +177,10 @@ def test_criterion_4_invariant_suites(ref8):
                     violations.append("phase III ascent")
 
         # skyline: antichain at all times plus dominance descent
-        pairs, _ = tight_init(g)
+        pairs = tight_pairs(g)
         snaps = []
         heights, _ = run_program(
-            RowProgram(boxes(pairs)),
+            RowProgram(with_out_tables(g, boxes(pairs))),
             g,
             observer=lambda _, s: snaps.append([skyline_of(x.arr) for x in s[0]]),
         )

@@ -18,7 +18,7 @@ from dcore.engine import default_superstep_cap, run_program, run_programs
 from dcore.graph import build_graph, generate_random_digraph, make_partition
 from dcore.peel import anchored_to_skyline, dcore, out_core_numbers, peel_decompose
 
-from _naive import NaiveHIndexFixpoint, NaiveLuppProgram, NaiveRefineProgram
+from _naive import NaiveHIndexFixpoint, NaiveLuppProgram, NaiveRefineProgram, with_out_tables
 from conftest import (
     GRAPH_SOURCES,
     REF7_PHI_V2,
@@ -41,8 +41,13 @@ def _phase_one(g):
     return seeds, [k for k, _, _, _ in seeds], [lmax for _, _, lmax, _ in seeds]
 
 
-def _lupps(g):
+def _phase_two(g):
+    """compute_lupp's (l_upp, table) per vertex: phase III's starts."""
     return compute_lupp(g, compute_kmax_lmax(g)[0])[0]
+
+
+def _lupps(g):
+    return [arr for arr, _ in _phase_two(g)]
 
 
 def test_phase1_ref8_trace(ref8):
@@ -86,7 +91,7 @@ def test_phase2_upper_bounds_dominate_oracle():
 
 
 def test_phase3_ref8_rows(ref8):
-    table, _ = refine(ref8, _lupps(ref8))
+    table, _ = refine(ref8, _phase_two(ref8))
     assert table.rows == REF8_LMAX
     assert table.rows[6] == [2, 1]   # v7 refined from [2, 2]
     assert table.rows[0] == [2, 2, 2]  # v1 unchanged
@@ -194,7 +199,7 @@ def test_init_messages_send_one_triple_per_run(source, request):
     kmaxes, _ = compute_kmax(g)
     lupps = _lupps(g)
     for start in (lupps, _raised(g, lupps)):
-        program = RowProgram(start)
+        program = RowProgram(with_out_tables(g, start))
         for v in range(g.n):
             _, payload = program.init(v, g)
             assert payload[-1][0] == kmaxes[v]
@@ -233,9 +238,9 @@ def test_counting_programs_match_from_scratch_every_superstep(source, request):
         ("value", lambda: HIndexFixpoint("in"), NaiveHIndexFixpoint("in")),
         ("value", lambda: HIndexFixpoint("out"), NaiveHIndexFixpoint("out")),
         ("arr", lambda: LuppProgram(seeds), NaiveLuppProgram(kmaxes, lmaxes)),
-        ("arr", lambda: RowProgram(lupps), NaiveRefineProgram(lupps)),
-        ("arr", lambda: RowProgram(raised), NaiveRefineProgram(raised)),
-        ("arr", lambda: RowProgram(loose), NaiveRefineProgram(loose)),
+        ("arr", lambda: RowProgram(_phase_two(g)), NaiveRefineProgram(lupps)),
+        ("arr", lambda: RowProgram(with_out_tables(g, raised)), NaiveRefineProgram(raised)),
+        ("arr", lambda: RowProgram(with_out_tables(g, loose)), NaiveRefineProgram(loose)),
     ]
     for mode, parts in [
         ("vertex", None),
@@ -245,11 +250,15 @@ def test_counting_programs_match_from_scratch_every_superstep(source, request):
         for i, (attr, make, naive) in enumerate(pairs):
             got = _trace(make(), g, parts, mode, attr)
             want = _trace(naive, g, parts, mode, attr)
+            if isinstance(naive, NaiveLuppProgram):
+                # phase II also hands over its slot histograms, which
+                # test_phase_three_out_tables_are_a_recount_after_init checks
+                got = got[0], [arr for arr, _ in got[1]], got[2]
             assert got == want, (i, mode)
     # the loose start still ends at the oracle's rows, and so does the
     # non-monotone one
     assert got[1] == peel_decompose(g).rows
-    assert refine(g, raised)[0].rows == got[1]
+    assert refine(g, with_out_tables(g, raised))[0].rows == got[1]
 
 
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
@@ -326,19 +335,32 @@ def _lupp_checker(lmaxes):
     return check
 
 
-def _check_refine_histograms(g, states, log):
-    # A slot whose dirty bit is clear must have both supports, or it would
-    # never be checked again.
-    for v, st in enumerate(states):
-        delivered = log.last.get(id(st), {})
-        for k, a in enumerate(st.arr):
-            ins = [delivered.get(u, {}).get(k, -1) for u in g.in_adj[v]]
-            outs = [delivered.get(u, {}).get(k, -1) for u in g.out_adj[v]]
-            row = slice(k * st.width, k * st.width + a + 1)
-            assert st.hin[row] == clipped_histogram(ins, a), (v, k)
-            assert st.hout[row] == clipped_histogram(outs, a), (v, k)
-            if a and not st.dirty >> k & 1:
-                assert st.hin[row.stop - 1] >= k and st.hout[row.stop - 1] >= a, (v, k)
+def _refine_checker(starts):
+    """Phase III's check against a recount.
+
+    An in-neighbor counts from its init message on.  An out-neighbor
+    counts at its start height in every row it has (starts[u]) until it
+    delivers a drop there, since the out-table came with the start.  A
+    slot whose dirty bit is clear must have both supports, or it would
+    never be checked again.
+    """
+
+    def check(g, states, log):
+        for v, st in enumerate(states):
+            delivered = log.last.get(id(st), {})
+            for k, a in enumerate(st.arr):
+                ins = [delivered.get(u, {}).get(k, -1) for u in g.in_adj[v]]
+                outs = [
+                    delivered.get(u, {}).get(k, starts[u][k] if k < len(starts[u]) else -1)
+                    for u in g.out_adj[v]
+                ]
+                row = slice(k * st.width, k * st.width + a + 1)
+                assert st.hin[row] == clipped_histogram(ins, a), (v, k)
+                assert st.hout[row] == clipped_histogram(outs, a), (v, k)
+                if a and not st.dirty >> k & 1:
+                    assert st.hin[row.stop - 1] >= k and st.hout[row.stop - 1] >= a, (v, k)
+
+    return check
 
 
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
@@ -353,23 +375,25 @@ def test_support_counters_equal_a_recount_after_every_superstep(source, request)
     seeds, kmaxes, lmaxes = _phase_one(g)
     lupps = _lupps(g)
     loose = [[len(g.out_adj[v])] * (kmaxes[v] + 1) for v in range(g.n)]
+    raised = _raised(g, lupps)
     above = [g.n] * g.n  # an H-index init is a drop from above every value
     for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
         checks = [
             (HIndexFixpoint("in"), _h_checker("in"), above),
             (HIndexFixpoint("out"), _h_checker("out"), above),
             (LuppProgram(seeds), _lupp_checker(lmaxes), lmaxes),
-            (RowProgram(lupps), _check_refine_histograms, None),
-            (RowProgram(_raised(g, lupps)), _check_refine_histograms, None),
-            (RowProgram(loose), _check_refine_histograms, None),
+            (RowProgram(_phase_two(g)), _refine_checker(lupps), lupps),
+            (RowProgram(with_out_tables(g, raised)), _refine_checker(raised), raised),
+            (RowProgram(with_out_tables(g, loose)), _refine_checker(loose), loose),
         ]
         for program, check, start in checks:
             log = record_deliveries(program, start)
             steps = []
+            rows = isinstance(program, RowProgram)
 
-            def observe(step, runs, check=check, log=log):
+            def observe(step, runs, check=check, log=log, rows=rows):
                 (states,) = runs
-                if step > 1 or check is not _check_refine_histograms:
+                if step > 1 or not rows:
                     check(g, states, log)
                 steps.append(step)
 
@@ -442,7 +466,7 @@ def test_phase2_is_silent_when_every_vertex_has_the_same_kmax():
         assert len(set(kmaxes)) == 1
         lupps, metrics = compute_lupp(g, seeds)
         assert metrics.messages_per_step == [0]
-        assert lupps == [row[:1] * len(row) for row in peel_decompose(g).rows]
+        assert [arr for arr, _ in lupps] == [row[:1] * len(row) for row in peel_decompose(g).rows]
         parts = make_partition("hash", g, 3)
         _, m_block = compute_lupp(g, compute_kmax_lmax(g, parts, "block")[0], parts, "block")
         assert (m_block.messages_per_step, m_block.intra_messages) == ([0], 0)

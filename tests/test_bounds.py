@@ -46,7 +46,7 @@ def test_deliveries_within_the_emit_on_drop_bounds(source, mode, request):
     rows = peel_decompose(g).rows
     kmax = [len(row) - 1 for row in rows]
     lmax = [row[0] for row in rows]
-    lupps, _ = compute_lupp(g, compute_kmax_lmax(g)[0])
+    lupps = [arr for arr, _ in compute_lupp(g, compute_kmax_lmax(g)[0])[0]]
     vs = range(g.n)
     sends = [any(kmax[u] > kmax[v] for u in g.in_adj[v]) for v in vs]
     kmax_bound = sum((indeg[v] - kmax[v] + 1) * outdeg[v] for v in vs)

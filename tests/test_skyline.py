@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcore.anchored import RowProgram, anchored_decompose, compute_kmax_lmax, compute_lupp
+from dcore.anchored import (
+    RowProgram,
+    anchored_decompose,
+    compute_kmax_lmax,
+    compute_lupp,
+    refine,
+)
 from dcore.engine import run_program
 from dcore.graph import build_graph, generate_random_digraph, make_partition
 from dcore.kernels import d_index, d_index_over_sets
@@ -18,6 +24,7 @@ from _naive import (
     naive_d_index_over_sets,
     naive_skyline,
     set_dominated_by,
+    with_out_tables,
 )
 from conftest import (
     GRAPH_SOURCES,
@@ -31,13 +38,14 @@ from conftest import (
     pa_digraph,
     record_deliveries,
     reversed_graph,
+    tight_pairs,
     transposed,
 )
 
 
 def test_tight_init_ref8(ref8):
-    pairs, metrics = tight_init(ref8)
-    assert pairs == REF8_TIGHT_INIT
+    seeds, metrics = tight_init(ref8)
+    assert [(K, L) for K, _, L, _ in seeds] == REF8_TIGHT_INIT
     assert metrics.phase == "init"
 
 
@@ -49,7 +57,7 @@ def test_tight_init_is_anchored_phase_one_under_its_own_name(source, request):
     for parts, mode in [(None, "vertex"), (make_partition("hash", g, 4), "block")]:
         pairs, m_init = tight_init(g, parts, mode)
         seeds, m_one = compute_kmax_lmax(g, parts, mode)
-        assert pairs == [(kmax, lmax) for kmax, _, lmax, _ in seeds], mode
+        assert pairs == seeds, mode
         assert (m_init.phase, m_one.phase) == ("init", "phase I")
         assert m_init.messages_per_step == m_one.messages_per_step, mode
         assert m_init.intra_messages == m_one.intra_messages, mode
@@ -90,13 +98,12 @@ def test_observer_gets_one_state_list_per_program_in_every_phase(
 
 
 def test_tight_init_arcless_graph():
-    pairs, _ = tight_init(build_graph(5, []))
-    assert pairs == [(0, 0)] * 5
+    assert tight_pairs(build_graph(5, [])) == [(0, 0)] * 5
 
 
 def test_tight_init_dominates_skyline_sets():
     g = generate_random_digraph(50, 0.12, seed=41)
-    pairs, _ = tight_init(g)
+    pairs = tight_pairs(g)
     skys = anchored_to_skyline(peel_decompose(g))
     for (k0, l0), sky in zip(pairs, skys):
         assert all(k <= k0 and l <= l0 for k, l in sky)
@@ -207,10 +214,10 @@ def test_mode_equivalence(ref8):
 def test_antichain_and_dominance_descent_every_superstep(ref8):
     g = generate_random_digraph(40, 0.15, seed=71)
     for graph in (ref8, g):
-        pairs, _ = tight_init(graph)
+        pairs = tight_pairs(graph)
         snaps = []
         run_program(
-            RowProgram(boxes(pairs)),
+            RowProgram(with_out_tables(graph, boxes(pairs))),
             graph,
             observer=lambda _, states: snaps.append([skyline_of(s.arr) for s in states[0]]),
         )
@@ -270,7 +277,7 @@ def _d_trace(program, g, parts, mode, read):
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
 def test_incremental_program_matches_from_scratch_every_superstep(source, request):
     g = graph_from(source, request)
-    tight, _ = tight_init(g)
+    tight = tight_pairs(g)
     # (kmax, out-degree) boxes are loose but still bound every neighbor
     # H-index, and keep RowProgram's kmax(v) + 1 rows, so most sets start
     # higher and fall further.
@@ -282,7 +289,8 @@ def test_incremental_program_matches_from_scratch_every_superstep(source, reques
             ("block", make_partition("seg", g, 4)),
         ]:
             got = _d_trace(
-                RowProgram(boxes(pairs)), g, parts, mode, lambda s: tuple(skyline_of(s.arr))
+                RowProgram(with_out_tables(g, boxes(pairs))),
+                g, parts, mode, lambda s: tuple(skyline_of(s.arr)),
             )
             want = _d_trace(NaiveSkylineProgram(pairs), g, parts, mode, lambda s: s.d)
             assert got == want, (pairs is tight, mode)
@@ -295,8 +303,8 @@ def test_init_message_is_one_run_of_the_fold_shared_with_phase_three(source, req
     # Phase III runs the same class, RowProgram, so the fold is shared by
     # construction; a box start sends its one run.
     g = graph_from(source, request)
-    pairs, _ = tight_init(g)
-    program = RowProgram(boxes(pairs))
+    pairs = tight_pairs(g)
+    program = RowProgram(with_out_tables(g, boxes(pairs)))
     for v, (K, L) in enumerate(pairs):
         assert program.init(v, g)[1] == ((K, -1, L),)
 
@@ -309,13 +317,93 @@ def test_row_heights_from_the_box_or_the_lupp_arrays_are_the_anchored_table(
     # skyline_table return the anchored table.
     g = graph_from(source, request)
     want = peel_decompose(g).rows
-    pairs, _ = tight_init(g)
-    lupps, _ = compute_lupp(g, compute_kmax_lmax(g)[0])
+    pairs = tight_pairs(g)
     for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
-        for starts in (boxes(pairs), lupps):
+        for box, starts in [
+            (True, with_out_tables(g, boxes(pairs))),
+            (False, compute_lupp(g, compute_kmax_lmax(g)[0])[0]),
+        ]:
             heights, _ = run_program(RowProgram(starts), g, parts, mode)
-            assert heights == want, (mode, starts is lupps)
+            assert heights == want, (mode, box)
         assert skyline_table(g, parts, mode)[0].rows == want, mode
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_inherited_tables_equal_a_recount_after_the_init_round(source, request):
+    # Phase III's out-tables are phase II's final slot histograms, and the
+    # D-index's are the lmax histograms less each excluding out-neighbor's
+    # rows past its K; no vertex hears its out-neighbors' starts.  After
+    # the init round (step 2) each row k of hin and hout, up to arr[k],
+    # must count every neighbor u with a row k at its start height there,
+    # or at its height now when u is in the same block, whose drops arrive
+    # within the superstep.
+    g = graph_from(source, request)
+    for parts, mode in [
+        (None, "vertex"),
+        (make_partition("hash", g, 3), "block"),
+        (make_partition("seg", g, 4), "block"),
+    ]:
+        for decompose in (anchored_decompose, skyline_table):
+            starts, checked = [], []
+
+            def observe(step, runs):
+                states = runs[-1]
+                if not hasattr(states[0], "hout"):
+                    return
+                if step == 1:
+                    starts.append([list(st.arr) for st in states])
+                    return
+                if step > 2:
+                    return
+                (start,) = starts
+                for v, st in enumerate(states):
+                    for k, a in enumerate(st.arr):
+
+                        def height(u):
+                            same = parts is not None and parts[u] == parts[v]
+                            rows = states[u].arr if same else start[u]
+                            return rows[k] if k < len(rows) else -1
+
+                        row = slice(k * st.width, k * st.width + a + 1)
+                        ins = [height(u) for u in g.in_adj[v]]
+                        outs = [height(u) for u in g.out_adj[v]]
+                        assert st.hin[row] == clipped_histogram(ins, a), (mode, v, k)
+                        assert st.hout[row] == clipped_histogram(outs, a), (mode, v, k)
+                checked.append(step)
+
+            decompose(g, parts, mode, observer=observe)
+            assert checked == [2], (decompose.__name__, mode)
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_init_goes_to_out_neighbors_and_from_excluding_vertices_to_all(source, request):
+    # Phase III sends every vertex's runs to its out-neighbors only.  The
+    # D-index does too, except that a vertex with an in-neighbor of larger
+    # kmax sends its box to all its neighbors: phase II's init recipients
+    # plus its out-neighbors, each reciprocal neighbor once.
+    g = graph_from(source, request)
+    kmax = [len(row) - 1 for row in peel_decompose(g).rows]
+    excluding = [v for v in range(g.n) if any(kmax[u] > kmax[v] for u in g.in_adj[v])]
+    reciprocal = sum(len(set(g.in_adj[v]) & set(g.out_adj[v])) for v in excluding)
+    for parts, mode in [
+        (None, "vertex"),
+        (make_partition("hash", g, 3), "block"),
+        (make_partition("seg", g, 4), "block"),
+    ]:
+        _, (_, m2, m3) = anchored_decompose(g, parts, mode)
+        _, (_, m_d) = skyline_table(g, parts, mode)
+        assert m2.messages_per_step[0] == sum(len(g.in_adj[v]) for v in excluding)
+        assert m3.messages_per_step[0] == g.num_arcs, mode
+        assert m_d.messages_per_step[0] == g.num_arcs + m2.messages_per_step[0] - reciprocal
+
+
+def test_a_vertex_with_no_in_neighbor_checks_its_row_at_init():
+    # Vertex 0 has no in-neighbor, so no init reaches it, and its start 1
+    # lacks the support of its one out-neighbor, which sits at 0.
+    g = build_graph(2, [(0, 1)])
+    table, metrics = refine(g, with_out_tables(g, [[1], [0]]))
+    assert table.rows == peel_decompose(g).rows == [[0], [0]]
+    assert metrics.messages_per_step == [1, 0]
 
 
 def _row_height(ins, outs, k, top):
@@ -331,16 +419,18 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
     # After every superstep, recompute each row height f[k] from its
     # definition and recount the buckets 0..f[k] (arr[k]) of each row of
     # hin/hout, from the last height each neighbor delivered at k, as the
-    # test records it from the deltas.  After init (step 1) no message has
-    # been delivered and every row is still dirty.  The recorder must also
-    # see every delivery the engine counts.
+    # test records it from the deltas; an out-neighbor that delivered none
+    # there counts at its start, which the out-table came with.  After init
+    # (step 1) no message has been delivered and every row is still dirty.
+    # The recorder must also see every delivery the engine counts.
     g = graph_from(source, request)
-    tight, _ = tight_init(g)
+    tight = tight_pairs(g)
     loose = [(K, len(g.out_adj[v])) for v, (K, _) in enumerate(tight)]
     for pairs in (tight, loose):
         for parts, mode in [(None, "vertex"), (make_partition("hash", g, 3), "block")]:
-            program = RowProgram(boxes(pairs))
-            log = record_deliveries(program)
+            start = boxes(pairs)
+            program = RowProgram(with_out_tables(g, start))
+            log = record_deliveries(program, start)
             steps = []
 
             def observe(step, runs, log=log):
@@ -351,7 +441,10 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
                         assert st.dirty == 0
                     for k, t in enumerate(st.arr):
                         ins = [heights.get(u, {}).get(k, -1) for u in g.in_adj[v]]
-                        outs = [heights.get(u, {}).get(k, -1) for u in g.out_adj[v]]
+                        outs = [
+                            heights.get(u, {}).get(k, pairs[u][1] if k <= pairs[u][0] else -1)
+                            for u in g.out_adj[v]
+                        ]
                         if step > 1:
                             assert t == _row_height(ins, outs, k, st.width - 1), (v, k)
                         row = slice(k * st.width, k * st.width + t + 1)
