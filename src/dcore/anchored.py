@@ -24,10 +24,11 @@ value can only drop when the neighbors at or above it fall short of it;
 it then walks down the buckets to the new H-index, and the ones it passes
 make up the new top.  So every decision to lower a value, and with it
 every emitted value, superstep and message, is the one a full rescan
-would make.  Deltas rely on the engine's contract: every payload reaches
-each recipient exactly once, and one sender's payloads arrive in the
-order it emitted them.  Histograms are sums over senders, so the order
-between senders is irrelevant.
+would make.  Deltas rely on the engine's contract: one sender's payloads
+reach each recipient in the order it emitted them, each exactly once or,
+across blocks, composed into one per superstep.  Deltas compose exactly,
+(a, b) then (b, c) being (a, c), slot by slot for triples.  Histograms
+are sums over senders, so the order between senders is irrelevant.
 
 Phase I is two plain HIndexFixpoint runs, and each extracts its value
 with its final histogram.  Vertex values persist between phases, as in
@@ -130,6 +131,10 @@ class HIndexFixpoint(VertexProgram):
         st.value = h
         return (old, h)
 
+    def compose(self, first, then):
+        # (a, b) then (b, c) is (a, c)
+        return first[0], then[1]
+
     def extract(self, st, v, g):
         del st.hist[st.value + 2 :]
         return st.value, st.hist
@@ -221,8 +226,26 @@ class LuppProgram(VertexProgram):
                 changed.append((k, a, h))
         return tuple(changed) or None
 
+    def compose(self, first, then):
+        return compose_triples(first, then)
+
     def extract(self, st, v, g):
         return st.arr, st.hist
+
+
+def compose_triples(first: tuple, then: tuple) -> tuple:
+    """Two k-ascending (k, old, new) payloads of one sender as one.
+
+    A k in both becomes (k, first's old, then's new), since then's old at
+    k is first's new; every other triple is kept.  The result is
+    k-ascending and has no more triples than its two parts together.
+    """
+    merged = {t[0]: t for t in first}
+    for k, old, new in then:
+        if k in merged:
+            old = merged[k][1]
+        merged[k] = (k, old, new)
+    return tuple(sorted(merged.values()))
 
 
 def lmax_rows(kmax: int, lmax: int, hist: list[int]) -> list[int]:
@@ -442,6 +465,9 @@ class RowProgram(VertexProgram):
         if changed:
             return tuple(changed)
         return None
+
+    def compose(self, first, then):
+        return compose_triples(first, then)
 
     def extract(self, st, v, g):
         return list(st.arr)

@@ -308,6 +308,10 @@ def main(argv=None) -> int:
     except EdgeListError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # e.g. a `# n=` header too large to declare; exit 1 means "verify failed"
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

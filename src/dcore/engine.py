@@ -1,8 +1,8 @@
 """Deterministic bulk-synchronous superstep simulator.
 
-A vertex program supplies four hooks: init, on_broadcast, after_messages
-and extract.  Block-centric mode runs each block's local rounds per
-superstep, delivering same-block messages between rounds and holding
+A vertex program supplies five hooks: init, on_broadcast, after_messages,
+compose and extract.  Block-centric mode runs each block's local rounds
+per superstep, delivering same-block messages between rounds and holding
 cross-block ones for the next superstep; a block's superstep ends after
 its first round that sends no message inside the block.  Blocks share
 nothing within a superstep, so all blocks take their local rounds
@@ -26,14 +26,22 @@ for every target, so a program unpacks it once and folds it into each.
 The base class's on_broadcast calls on_message(state, sender, payload) per
 target, for programs written one delivery at a time.
 
-Delivery contract: every emitted payload reaches each of its recipients
-exactly once, and the payloads of one sender reach a recipient in the
-order the sender emitted them, also when it emits in several local rounds
-of one block-mode superstep.  Programs may therefore send deltas against
-their previous payload.  Payloads of distinct senders arrive in no
-promised order, so their folds must be commutative across senders.  All
-init messages are delivered before any vertex runs after_messages, so a
-program may seed state from them in its first call.  A program names
+Delivery contract: a sender's payloads reach a same-block recipient one
+by one, each in the local round after the one that emitted it, and a
+cross-block recipient, per superstep, as their composition, in emission
+order.  Programs may therefore send deltas against their previous
+payload.  A vertex holds at most one payload per superstep: when it emits
+again in a later local round, its held payload p and the new one q become
+compose(p, q), and messages_per_step counts that one payload per
+recipient.  Held mail is all folded in the first round of the next
+superstep, before any after_messages runs, so a program whose fold of
+compose(p, q) equals the fold of p then q gets the results it would get
+with every payload held apart.  In vertex mode a vertex runs at most once
+per superstep, so nothing composes.  Payloads of distinct senders arrive
+in no promised order, so their folds must be commutative across senders.
+All init messages are delivered before any vertex runs after_messages, so
+a program may seed state from them in its first call; init payloads are
+held before any vertex emits, so they never compose.  A program names
 each vertex's init recipients (init_recipients), by default its broadcast
 list; init mail is always held for the next superstep, so block mode
 needs no split for it.
@@ -132,6 +140,15 @@ class VertexProgram:
         """
         raise NotImplementedError
 
+    def compose(self, first, then):
+        """One payload whose fold equals folding first and then then.
+
+        first and then are two payloads one vertex emitted after init, in
+        that order, within one superstep; the engine holds their
+        composition for the vertex's cross-block recipients.
+        """
+        raise NotImplementedError
+
     def extract(self, state, v: int, g: DirectedGraph):
         raise NotImplementedError
 
@@ -162,9 +179,9 @@ class _Run:
 
     Each vertex's recipients are split into those in its own block
     (local_to, reached in the next local round) and the others (held_to,
-    reached in the next superstep).  Vertex mode is block mode with no
-    same-block recipients: local_to is empty everywhere.  The run is live
-    while held is non-empty.
+    reached in the next superstep), to which it holds one payload per
+    superstep.  Vertex mode is block mode with no same-block recipients:
+    local_to is empty everywhere.  The run is live while held is non-empty.
     """
 
     def __init__(self, program: VertexProgram, g: DirectedGraph, block_of, cap: int):
@@ -203,11 +220,14 @@ class _Run:
         later one is what the round before sent inside a block, which
         reaches only that block, so all blocks take their rounds together,
         each as if it ran alone, and a vertex-mode superstep is one round.
-        Returns the number of deliveries held for the next superstep.
+        A vertex that emits in several rounds holds the composition of its
+        payloads.  Returns the number of deliveries held for the next
+        superstep.
         """
-        inbox, self.held = self.held, []
-        held, states, g = self.held, self.states, self.g
-        on_broadcast, after = self.program.on_broadcast, self.program.after_messages
+        inbox, held = self.held, {}  # held: sender -> its composed payload
+        states, g, program = self.states, self.g, self.program
+        on_broadcast, after = program.on_broadcast, program.after_messages
+        compose = program.compose
         held_to, local_to, state_of = self.held_to, self.local_to, states.__getitem__
         rounds = 0
         while inbox:
@@ -225,10 +245,11 @@ class _Run:
                 payload = after(states[v], v, g)
                 if payload is not None:
                     if held_to[v]:
-                        held.append((v, payload, held_to[v]))
+                        held[v] = compose(held[v], payload) if v in held else payload
                     if local_to[v]:
                         inbox.append((v, payload, local_to[v]))
-        return sum(len(rs) for _, _, rs in held)
+        self.held = [(v, payload, held_to[v]) for v, payload in held.items()]
+        return sum(len(rs) for _, _, rs in self.held)
 
 
 def run_programs(
@@ -254,8 +275,9 @@ def run_programs(
     "block" needs parts, one entry per vertex (ValueError otherwise), and
     holds only cross-block messages; a block's superstep ends after its
     first round that sends nothing inside it.
-    messages_per_step counts the initial broadcast plus cross-block traffic
-    and intra_messages the deliveries kept inside a block after init.  mode
+    messages_per_step counts the initial broadcast plus cross-block traffic,
+    one delivery per recipient of each sender's composed payload, and
+    intra_messages the deliveries kept inside a block after init.  mode
     "vertex" ignores parts and treats every recipient as outside the
     sender's block, so each superstep is one round and holds every message
     for the next; its results and metrics do not depend on the partition.

@@ -85,7 +85,8 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
     Lines starting with '#' are comments; the first `# n=<count>` comment
     declares vertices 0..count-1 up front so isolated vertices survive a
     round trip, and a negative count is an error.
-    Each remaining line must be two integer labels `src dst`.  A line `L L`
+    Each remaining line must be two integer labels `src dst`, each ASCII
+    -?[0-9]+ (leading zeros read as one label: 007 is 7).  A line `L L`
     whose label appears on no other line is how write_edge_list writes an
     isolated vertex, so it is not counted as a dropped self-loop.  source
     is the whole text as one str or an iterable of str lines, such as a
@@ -121,6 +122,10 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
         tokens = line.split()
         if len(tokens) != 2:
             raise EdgeListError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
+        # int() also reads 1_0, +1 and non-ASCII digits, which would merge
+        # distinct tokens into one label
+        if not line.isascii() or "_" in line or "+" in line:
+            raise EdgeListError(f"line {lineno}: non-integer vertex label")
         try:
             a, b = int(tokens[0]), int(tokens[1])
         except ValueError:

@@ -134,11 +134,14 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
 
     Each block sweeps all of its members in rounds, delivering same-block
     messages between rounds, until a round sends no message inside the
-    block; cross-block messages wait for the next superstep.  block_of=None
-    is vertex mode: one block in which every message counts as crossing, so
-    each superstep is one round and all messages wait for the next one.
-    Init payloads go to the program's init_recipients and wait too.  A run
-    stops after a superstep that holds nothing for the next one.  Returns (results, supersteps, messages per superstep, intra messages).
+    block; cross-block messages wait for the next superstep, one per
+    (sender, recipient): a sender's later payload to the same recipient is
+    composed into the waiting one.  block_of=None is vertex mode: one block
+    in which every message counts as crossing, so each superstep is one
+    round and all messages wait for the next one.  Init payloads go to the
+    program's init_recipients and wait too.  A run stops after a superstep
+    that holds nothing for the next one.  Returns (results, supersteps,
+    messages per superstep, intra messages).
     """
     n = g.n
     if program.broadcast == "out":
@@ -160,7 +163,7 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
     while waiting:
         if len(per_step) >= max_supersteps:
             raise RuntimeError("naive scheduler did not quiesce")
-        incoming, waiting = waiting, []
+        incoming, composed = waiting, {}  # (sender, recipient) -> payload
         for b in sorted(set(blocks)):
             members = [v for v in range(n) if blocks[v] == b]
             inbox = [m for m in incoming if blocks[m[1]] == b]
@@ -176,13 +179,21 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
                         if block_of is not None and blocks[r] == b:
                             inbox.append((v, r, payload))
                             intra += 1
+                        elif (v, r) in composed:
+                            composed[v, r] = program.compose(composed[v, r], payload)
                         else:
-                            waiting.append((v, r, payload))
+                            composed[v, r] = payload
                 if not inbox:
                     break
+        waiting = [(s, r, payload) for (s, r), payload in composed.items()]
         per_step.append(len(waiting))
     results = [program.extract(states[v], v, g) for v in range(n)]
     return results, len(per_step), per_step, intra
+
+
+def union_changed(first, then):
+    """An (array, changed slots) payload composed: then's array, both sets of slots."""
+    return then[0], tuple(sorted({*first[1], *then[1]}))
 
 
 class _SkyState:
@@ -234,6 +245,9 @@ class NaiveSkylineProgram(VertexProgram):
             return new
         return None
 
+    def compose(self, first, then):
+        return then
+
     def extract(self, st, v, g):
         return list(st.d)
 
@@ -276,6 +290,9 @@ class NaiveHIndexFixpoint(VertexProgram):
             st.value = h
             return h
         return None
+
+    def compose(self, first, then):
+        return then
 
     def extract(self, st, v, g):
         hist = [0] * (st.value + 2)
@@ -340,6 +357,9 @@ class NaiveLuppProgram(VertexProgram):
             return (tuple(st.arr), tuple(changed))
         return None
 
+    def compose(self, first, then):
+        return union_changed(first, then)
+
     def extract(self, st, v, g):
         return list(st.arr)
 
@@ -398,6 +418,9 @@ class NaiveRefineProgram(VertexProgram):
         if changed:
             return (tuple(st.arr), tuple(changed))
         return None
+
+    def compose(self, first, then):
+        return union_changed(first, then)
 
     def extract(self, st, v, g):
         return list(st.arr)

@@ -133,6 +133,35 @@ MUTANTS = (
         ("tests/test_anchored.py",),
     ),
     Mutant(
+        "src/dcore/anchored.py",
+        "        del st.hist[st.value + 2 :]\n",
+        "        st.hist[st.value + 1] += sum(st.hist[st.value + 2 :])\n"
+        "        del st.hist[st.value + 2 :]\n",
+        "phase I's extract folds the stale buckets past value + 1 into the state's own top",
+        ("tests/test_anchored.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "hin[prev + b] -= 1",
+        "hin[prev + new] -= 1",
+        "the init fold takes a run back out at its unclipped height, past its row's last bucket",
+        ("tests/test_skyline.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "            old = merged[k][1]\n",
+        "            old = merged[k][2]\n",
+        "a composed triple keeps then's old height, not first's",
+        ("tests/test_compose.py",),
+    ),
+    Mutant(
+        "src/dcore/engine.py",
+        "compose(held[v], payload)",
+        "compose(payload, held[v])",
+        "a sender's held payloads are composed in the reverse of their emission order",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
         "src/dcore/engine.py",
         "on_broadcast(map(state_of, rs), s, payload)",
         "on_broadcast(map(state_of, rs[:-1]), s, payload)",

@@ -159,6 +159,32 @@ def test_decompose_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["1_0 2", "+1 2", "\u0663 1"])
+def test_labels_int_would_merge_are_parse_errors(line, tmp_path, capsys):
+    src = tmp_path / "near-ints.txt"
+    src.write_text(f"10 3\n{line}\n", encoding="utf-8")
+    rc = main(["decompose", str(src), "--algo", "peel", "--out", str(tmp_path / "x.txt")])
+    assert rc == 2
+    assert capsys.readouterr().err == "parse error: line 2: non-integer vertex label\n"
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify", "bench"])
+def test_running_out_of_memory_is_a_usage_error(command, ref8_file, tmp_path, capsys, monkeypatch):
+    # A `# n=100000000` header makes the parser declare 10^8 labels; exit 1
+    # would read as a failed verification.
+    def parse(source):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_edge_list_report", parse)
+    argv = [command, str(ref8_file)]
+    if command != "bench":
+        argv += ["--algo", "anchored"]
+    if command == "decompose":
+        argv += ["--out", str(tmp_path / "x.txt")]
+    assert main(argv) == 2
+    _one_line_error(capsys, "out of memory")
+
+
 @pytest.mark.parametrize("command", ["decompose", "verify", "bench"])
 def test_non_utf8_input_is_a_usage_error(command, tmp_path, capsys):
     # exit 1 would read as a failed verification

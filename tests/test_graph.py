@@ -74,12 +74,24 @@ def test_parse_n_header_declares_isolated_vertices():
     ("1 2\u20283 4\n", "line 1: expected 2 tokens, got 4"),
     # only the first header counts, so a negative one must not pass silently
     ("# n=-2\n# n=3\n0 1\n", "line 1: negative vertex count -2"),
+    # a label is ASCII -?[0-9]+: int() would read 1_0 as 10, +1 as 1 and the
+    # Arabic-Indic digit three as 3, merging distinct tokens into one label
+    ("10 3\n1_0 2\n", "line 2: non-integer vertex label"),
+    ("1 2\n+1 2\n", "line 2: non-integer vertex label"),
+    ("\u0663 1\n", "line 1: non-integer vertex label"),
+    ("1 \uff12\n", "line 1: non-integer vertex label"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(EdgeListError, match=fragment):
         parse_edge_list(text)
     with pytest.raises(EdgeListError, match=fragment):
         parse_edge_list(io.StringIO(text))
+
+
+def test_leading_zeros_and_signs_read_as_one_label():
+    g = parse_edge_list("007 -1\n7 -01\n-0 7\n")
+    assert g.labels == [7, -1, 0]
+    assert g.num_arcs == 2
 
 
 def test_adjacency_invariants_on_parsed_graph():
