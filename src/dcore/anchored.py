@@ -22,13 +22,17 @@ Miorandi (TPDS 2013).  A delta whose new value is above the receiver's
 (at or above it, in phase II) moves nothing, so the receiver skips it.  A
 value can only drop when the neighbors at or above it fall short of it;
 it then walks down the buckets to the new H-index, and the ones it passes
-make up the new top.  So every decision to lower a value, and with it
-every emitted value, superstep and message, is the one a full rescan
-would make.  Deltas rely on the engine's contract: one sender's payloads
-reach each recipient in the order it emitted them, each exactly once or,
-across blocks, composed into one per superstep.  Deltas compose exactly,
-(a, b) then (b, c) being (a, c), slot by slot for triples.  Histograms
-are sums over senders, so the order between senders is irrelevant.
+make up the new top.  A fold wakes its receiver only when it takes a
+count out of the top and leaves the top short: supports only fall
+between runs, so that fold is the first to leave it short, and a vertex
+that no fold wakes would have nothing to lower.  So every decision to
+lower a value, and with it every emitted value, superstep and message,
+is the one a full rescan would make.  Deltas rely on the engine's
+contract: one sender's payloads reach each recipient in the order it
+emitted them, each exactly once or, across blocks, composed into one per
+superstep.  Deltas compose exactly, (a, b) then (b, c) being (a, c),
+slot by slot for triples.  Histograms are sums over senders, so the order
+between senders is irrelevant.
 
 Phase I is two plain HIndexFixpoint runs, and each extracts its value
 with its final histogram.  Vertex values persist between phases, as in
@@ -89,7 +93,9 @@ class HIndexFixpoint(VertexProgram):
     only when new <= value; otherwise both ends lie in the top bucket.  The
     H-index is never above value, so a vertex lowers it only when
     hist[value] + hist[value + 1] < value, by walking the buckets down to
-    the new value h and writing the count above h into hist[h + 1].
+    the new value h and writing the count above h into hist[h + 1].  The
+    fold that takes a count from value or above to below it and leaves
+    that sum short wakes the vertex, so every run lowers the value.
 
     extract returns (value, hist) with hist cut to its value + 2 buckets.
     The cut buckets are never read again, so extract may be called on any
@@ -108,15 +114,18 @@ class HIndexFixpoint(VertexProgram):
         st.hist = [0] * (st.value + 1) + [st.value]
         return st, (g.n, st.value)
 
-    def on_broadcast(self, targets, sender, payload):
+    def on_broadcast(self, states, rs, sender, payload, wake):
         old, new = payload
-        for st in targets:
+        for r in rs:
+            st = states[r]
             top = st.value
             if new <= top:
                 # else old > new > top: both lie in the top bucket
                 hist = st.hist
                 hist[old if old <= top else top + 1] -= 1
                 hist[new] += 1
+                if new < top <= old and hist[top] + hist[top + 1] < top:
+                    wake(r)
 
     def after_messages(self, st, v, g):
         old = h = st.value
@@ -170,7 +179,8 @@ class LuppProgram(VertexProgram):
     with width = kmax + 1, takes the sender out of the slots it is not in:
     new = -1 means "no longer counted here", for every slot from width on.
     Only a vertex with an in-neighbor of larger kmax (excludes) sends it; a
-    vertex that neither an exclusion nor a drop reaches never runs.
+    vertex runs only when an exclusion takes a count from the top of its
+    slots, or a drop leaves a slot's top bucket below the slot's value.
     after_messages walks each slot whose top bucket falls short down its
     buckets to its H-index, in ascending k, and writes the count of the
     buckets it passed into the new top, which leaves the slot clipped there.
@@ -193,8 +203,9 @@ class LuppProgram(VertexProgram):
         st.hist = lmax_rows(kmax, lmax, hist)
         return st, (((width, lmax, -1),) if excludes else None)
 
-    def on_broadcast(self, targets, sender, payload):
-        for st in targets:
+    def on_broadcast(self, states, rs, sender, payload, wake):
+        for r in rs:
+            st = states[r]
             arr, stride, hist = st.arr, st.stride, st.hist
             width = len(arr)
             for k, old, new in payload:
@@ -206,10 +217,14 @@ class LuppProgram(VertexProgram):
                     b = old if old < a else a
                     for i in range(k * stride + b, len(hist), stride):
                         hist[i] -= 1
+                    if b == a:
+                        wake(r)
                 elif new < a:
                     base = k * stride
                     hist[base + new] += 1
                     hist[base + (old if old < a else a)] -= 1
+                    if old >= a and hist[base + a] < a:
+                        wake(r)
 
     def after_messages(self, st, v, g):
         arr, hist, stride = st.arr, st.hist, st.stride
@@ -345,9 +360,11 @@ class RowProgram(VertexProgram):
     their out-table take it out of their rows past its last.  A vertex
     with no in-neighbor may get no init mail, so it walks its one row at
     init.  Row k of _RowState's hin/hout is the histogram of the in-/
-    out-neighbors' heights at k, clipped at arr[k].  A row turns dirty
-    only when a count leaves its top bucket, and after_messages walks each
-    dirty row down, folding the buckets it passes into the new top: the
+    out-neighbors' heights at k, clipped at arr[k].  A row turns dirty,
+    and its vertex is woken, only when a count leaves its top bucket and
+    leaves it short of k in-neighbors or of arr[k] out-neighbors; every
+    init recipient is woken to seed.  after_messages walks each dirty row
+    down, folding the buckets it passes into the new top: the
     counting computeIndex in two dimensions.
     """
 
@@ -378,8 +395,8 @@ class RowProgram(VertexProgram):
         runs = tuple((k, -1, a) for k, a in enumerate(arr) if k == last or arr[k + 1] != a)
         return st, runs
 
-    def on_broadcast(self, targets, sender, payload):
-        """Fold one payload into every target's histograms.
+    def on_broadcast(self, states, rs, sender, payload, wake):
+        """Fold one payload into every recipient's histograms.
 
         An init run (k, -1, value) is counted in the in-table's row
         min(k, last row) and the next run takes its value back out of that
@@ -387,13 +404,18 @@ class RowProgram(VertexProgram):
         sender in every row it reaches.  An excluding sender's init also
         reaches the vertices that count it in their out-table, at
         min(value, arr[j]) in every row j, and leaves their rows past its
-        last.  After init a triple moves one count per table of the
-        sender's side, from the old height clipped to arr[k] to the new
-        one, unless the new height is at or above arr[k].
+        last.  Every init recipient is woken, to seed.  After init a
+        triple moves one count per table of the sender's side, from the old
+        height clipped to arr[k] to the new one, unless the new height is at
+        or above arr[k]; when the count leaves row k's top bucket and
+        either support there falls short, row k turns dirty and the
+        recipient is woken.
         """
         if payload[0][1] < 0:
             excludes = self.excludes is not None and self.excludes[sender]
-            for st in targets:
+            for r in rs:
+                wake(r)
+                st = states[r]
                 arr, width, hin = st.arr, st.width, st.hin
                 last = len(arr) - 1
                 if excludes:
@@ -416,8 +438,9 @@ class RowProgram(VertexProgram):
                         break
                     prev = k * width
             return
-        for st in targets:
-            arr, width, dirty = st.arr, st.width, st.dirty
+        for r in rs:
+            st = states[r]
+            arr, width = st.arr, st.width
             rows = len(arr)
             # most deliveries move nothing, so look the side up only when needed
             tables = None
@@ -427,16 +450,18 @@ class RowProgram(VertexProgram):
                 t = arr[k]
                 if b >= t:
                     continue
-                if a >= t:
+                leaves = a >= t  # the count leaves the row's top bucket
+                if leaves:
                     a = t
-                    dirty |= 1 << k
                 pos = k * width
                 if tables is None:
                     tables = st.side.get(sender, st.other)
                 for h in tables:
                     h[pos + a] -= 1
                     h[pos + b] += 1
-            st.dirty = dirty
+                if leaves and (st.hin[pos + t] < k or st.hout[pos + t] < t):
+                    st.dirty |= 1 << k
+                    wake(r)
 
     def after_messages(self, st, v, g):
         dirty = st.dirty

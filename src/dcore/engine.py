@@ -18,13 +18,15 @@ it alone, and the one EngineMetrics sums their traffic.  run_program is
 run_programs with one program, so an observer gets one state list per
 program whichever of the two runs a phase.
 
-The engine calls on_broadcast(targets, sender, payload) once per emitted
-payload, where targets iterates the recipients' states; in block mode the
-recipients inside the sender's block get the payload in a local round and
-the others in the next superstep, one call each.  The payload is the same
-for every target, so a program unpacks it once and folds it into each.
-The base class's on_broadcast calls on_message(state, sender, payload) per
-target, for programs written one delivery at a time.
+The engine calls on_broadcast(states, rs, sender, payload, wake) once
+per emitted payload: rs lists the recipients, states is the run's state
+list and wake the round's set of vertices to run; in block mode the
+recipients inside the sender's block get the payload in a local round
+and the others in the next superstep, one call each.  The payload is the
+same for every recipient, so a program unpacks it once and folds it into
+each.  The base class's on_broadcast calls on_message(state, sender,
+payload) per recipient and wakes each one, for programs written one
+delivery at a time.
 
 Delivery contract: a sender's payloads reach a same-block recipient one
 by one, each in the local round after the one that emitted it, and a
@@ -46,20 +48,26 @@ each vertex's init recipients (init_recipients), by default its broadcast
 list; init mail is always held for the next superstep, so block mode
 needs no split for it.
 
-Scheduling is Pregel's rule, in which only a message wakes a halted
-vertex.  Init is every vertex's first step.  After init, a round hands each
-payload in its inbox to its recipients, then runs the vertices that got
-one; a superstep's first inbox is the held mail.  So after_messages must
-return None when nothing was folded into the state since init or its last
-call, and a vertex that no payload reaches keeps its init state.  The
-programs in this package change state only by folding messages and emit
-only on change, which satisfies this; results and metrics then equal those
-of sweeping every vertex in every round.
+Scheduling: a round runs the recipients its folds woke; waking every
+recipient is Pregel's rule, in which any message wakes a halted vertex.
+Init is every vertex's first step.  After init, a round hands each
+payload in its inbox to its recipients, then runs the vertices that a
+fold woke; a superstep's first inbox is the held mail.  So a fold must
+wake each recipient whose after_messages would emit if it ran now, and
+after_messages must return None, leaving the state as a later call needs
+it, when no fold woke the vertex since init or its last call; a vertex
+that no fold wakes keeps its init state.  The programs in this package
+change state only by folding messages and emit only on change, and each
+wakes a recipient only when the fold left one of its supports short of
+its value; supports only fall between runs, so the first fold that
+leaves one short is the one that wakes.  Results and every metric but
+updates_per_step then equal those of sweeping every vertex in every
+round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import DirectedGraph
 
@@ -73,6 +81,10 @@ class EngineMetrics:
     phase: str
     messages_per_step: list[int]  # one count per superstep, init's broadcast first
     intra_messages: int = 0  # block mode: deliveries kept inside a block after init
+    # after_messages calls per superstep, summed over its local rounds; 0 for
+    # init.  The simulator's work, not the cost model: waking every recipient
+    # gives equal metrics and more updates, so it takes no part in equality.
+    updates_per_step: list[int] = field(default_factory=list, compare=False)
 
     @property
     def supersteps(self) -> int:
@@ -101,8 +113,9 @@ class VertexProgram:
     broadcast names the recipients of every emitted payload: the vertex's
     out-neighbors, in-neighbors, or both.  The engine hands a payload to
     all its recipients in one on_broadcast call.  A program overrides
-    on_broadcast to fold it into every target, or on_message, which the
-    default on_broadcast calls once per target.
+    on_broadcast to fold it into every recipient and wake those that must
+    run, or on_message, which the default on_broadcast calls once per
+    recipient before waking it.
     """
 
     broadcast = "out"
@@ -119,13 +132,17 @@ class VertexProgram:
         """
         return _recipients(self, g)
 
-    def on_broadcast(self, targets, sender: int, payload) -> None:
-        """Fold one payload of sender into each recipient state of targets.
+    def on_broadcast(self, states, rs, sender: int, payload, wake) -> None:
+        """Fold one payload of sender into states[r] for each r in rs.
 
-        The default hands each target to on_message in turn.
+        wake(r) makes r run in this round.  A round runs the recipients its
+        folds woke; a program must wake each r whose after_messages would
+        emit now.  The default hands each state to on_message and wakes
+        every recipient, which is Pregel's rule.
         """
-        for state in targets:
-            self.on_message(state, sender, payload)
+        for r in rs:
+            self.on_message(states[r], sender, payload)
+            wake(r)
 
     def on_message(self, state, sender: int, payload) -> None:
         """Fold one payload into one recipient's state (see on_broadcast)."""
@@ -134,9 +151,9 @@ class VertexProgram:
     def after_messages(self, state, v: int, g: DirectedGraph):
         """Return a payload to broadcast, or None when nothing changed.
 
-        Must return None when nothing was folded into state since init or
-        the last call: the engine runs a vertex only in a round in which it
-        received a message.
+        Must return None when no fold woke the vertex since init or the
+        last call: the engine runs a vertex only in a round in which a fold
+        woke it (see on_broadcast).
         """
         raise NotImplementedError
 
@@ -216,20 +233,21 @@ class _Run:
         """Deliver the held mail and run rounds until none sends inside a block.
 
         A round hands each payload in its inbox to its recipients, then runs
-        the vertices that got one.  The first inbox is the held mail; each
-        later one is what the round before sent inside a block, which
-        reaches only that block, so all blocks take their rounds together,
-        each as if it ran alone, and a vertex-mode superstep is one round.
+        the vertices that the folds woke.  The first inbox is the held
+        mail; each later one is what the round before sent inside a block,
+        which reaches only that block, so all blocks take their rounds
+        together, each as if it ran alone, and a vertex-mode superstep is
+        one round.
         A vertex that emits in several rounds holds the composition of its
         payloads.  Returns the number of deliveries held for the next
-        superstep.
+        superstep and the number of after_messages calls.
         """
         inbox, held = self.held, {}  # held: sender -> its composed payload
         states, g, program = self.states, self.g, self.program
         on_broadcast, after = program.on_broadcast, program.after_messages
         compose = program.compose
-        held_to, local_to, state_of = self.held_to, self.local_to, states.__getitem__
-        rounds = 0
+        held_to, local_to = self.held_to, self.local_to
+        rounds = updates = 0
         while inbox:
             if rounds:  # the inbox was sent inside blocks
                 if rounds > self.cap:
@@ -237,9 +255,10 @@ class _Run:
                 self.intra += sum(len(rs) for _, _, rs in inbox)
             rounds += 1
             run = set()
+            wake = run.add
             for s, payload, rs in inbox:
-                on_broadcast(map(state_of, rs), s, payload)
-                run.update(rs)
+                on_broadcast(states, rs, s, payload, wake)
+            updates += len(run)
             inbox = []
             for v in run:
                 payload = after(states[v], v, g)
@@ -249,7 +268,7 @@ class _Run:
                     if local_to[v]:
                         inbox.append((v, payload, local_to[v]))
         self.held = [(v, payload, held_to[v]) for v, payload in held.items()]
-        return sum(len(rs) for _, _, rs in self.held)
+        return sum(len(rs) for _, _, rs in self.held), updates
 
 
 def run_programs(
@@ -268,8 +287,8 @@ def run_programs(
     it alone; results holds one per-vertex result list per program.  The
     one EngineMetrics sums their traffic: messages_per_step is the
     step-wise sum of the programs' counts, each padded with zeros after its
-    run ends, and intra_messages the sum of theirs; so supersteps is the
-    longest run's.
+    run ends, and so is updates_per_step, while intra_messages is the sum of
+    theirs; so supersteps is the longest run's.
 
     parts[v] is the block of vertex v, as hash_partition returns it.  mode
     "block" needs parts, one entry per vertex (ValueError otherwise), and
@@ -302,9 +321,11 @@ def run_programs(
     runs = [_Run(program, g, block_of, cap) for program in programs]
     states = [run.states for run in runs]
     per_step = [sum(run.init() for run in runs)]
+    updates = [0]
 
     def metrics_so_far() -> EngineMetrics:
-        return EngineMetrics(phase, list(per_step), sum(run.intra for run in runs))
+        intra = sum(run.intra for run in runs)
+        return EngineMetrics(phase, list(per_step), intra, list(updates))
 
     if observer is not None:
         observer(1, states)
@@ -316,13 +337,15 @@ def run_programs(
                 metrics_so_far(),
             )
         try:
-            per_step.append(sum(run.superstep() for run in live))
+            steps = [run.superstep() for run in live]
         except _NoLocalFixpoint as stuck:
             raise SuperstepLimitError(
                 f"block {stuck.args[0]}: no local fixpoint within {cap} iterations "
                 f"(in {phase or '?'})",
                 metrics_so_far(),
             ) from None
+        per_step.append(sum(held for held, _ in steps))
+        updates.append(sum(ran for _, ran in steps))
         live = [run for run in live if run.held]
         if observer is not None:
             observer(len(per_step), states)

@@ -8,8 +8,14 @@ file are kept for output translation.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
+
+
+# A vertex label, and a `# n=` count: int() alone also reads 1_0, +1 and
+# non-ASCII digits, which would merge distinct tokens into one label.
+_LABEL = re.compile(r"-?[0-9]+")
 
 
 class EdgeListError(ValueError):
@@ -83,8 +89,9 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
     """Parse SNAP-style edge-list text into a graph plus cleaning stats.
 
     Lines starting with '#' are comments; the first `# n=<count>` comment
-    declares vertices 0..count-1 up front so isolated vertices survive a
-    round trip, and a negative count is an error.
+    whose count is ASCII -?[0-9]+ declares vertices 0..count-1 up front so
+    isolated vertices survive a round trip, and a negative count is an
+    error; any other count makes the line a plain comment.
     Each remaining line must be two integer labels `src dst`, each ASCII
     -?[0-9]+ (leading zeros read as one label: 007 is 7).  A line `L L`
     whose label appears on no other line is how write_edge_list writes an
@@ -97,6 +104,11 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
     self_loops = 0
     looped: set[int] = set()  # dense IDs named on a self-loop line
     declared_n = None
+    # Outside the ASCII digits and '-', int() reads a label only with one of
+    # these; a str without any needs no check per line.
+    suspect = (
+        not isinstance(source, str) or not source.isascii() or "_" in source or "+" in source
+    )
     # A str splits at \n, \r and \r\n only, as a text file does; the split
     # lines must not outlive the loop: build_graph is the peak.
     for lineno, raw in enumerate(
@@ -108,23 +120,18 @@ def parse_edge_list_report(source) -> tuple[DirectedGraph, ParseReport]:
             continue
         if line.startswith("#"):
             body = line.lstrip("#").strip()
-            if body.startswith("n=") and declared_n is None:
-                try:
-                    declared_n = int(body[2:])
-                except ValueError:
-                    pass
-                else:
-                    if declared_n < 0:
-                        raise EdgeListError(f"line {lineno}: negative vertex count {declared_n}")
-                    for lab in range(declared_n):
-                        ids.setdefault(lab, len(ids))
+            count = body[2:].strip()
+            if body.startswith("n=") and declared_n is None and _LABEL.fullmatch(count):
+                declared_n = int(count)
+                if declared_n < 0:
+                    raise EdgeListError(f"line {lineno}: negative vertex count {declared_n}")
+                for lab in range(declared_n):
+                    ids.setdefault(lab, len(ids))
             continue
         tokens = line.split()
         if len(tokens) != 2:
             raise EdgeListError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
-        # int() also reads 1_0, +1 and non-ASCII digits, which would merge
-        # distinct tokens into one label
-        if not line.isascii() or "_" in line or "+" in line:
+        if suspect and (not line.isascii() or "_" in line or "+" in line):
             raise EdgeListError(f"line {lineno}: non-integer vertex label")
         try:
             a, b = int(tokens[0]), int(tokens[1])

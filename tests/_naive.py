@@ -132,6 +132,8 @@ def with_out_tables(g, starts):
 def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
     """Full-sweep superstep scheduler: every vertex runs in every round.
 
+    It ignores what on_broadcast wakes, since it runs every vertex anyway.
+
     Each block sweeps all of its members in rounds, delivering same-block
     messages between rounds, until a round sends no message inside the
     block; cross-block messages wait for the next superstep, one per
@@ -169,7 +171,7 @@ def naive_schedule(program, g, block_of=None, max_supersteps=10_000):
             inbox = [m for m in incoming if blocks[m[1]] == b]
             while True:
                 for s, r, payload in inbox:
-                    program.on_broadcast((states[r],), s, payload)
+                    program.on_broadcast(states, (r,), s, payload, set().add)
                 inbox = []
                 for v in members:
                     payload = program.after_messages(states[v], v, g)

@@ -201,7 +201,7 @@ def record_deliveries(program, start=None) -> DeliveryLog:
     """Record, per receiving state, the last value each sender delivered.
 
     Wraps program.on_broadcast and checks each recipient state of each
-    call before forwarding them all, as a list, to the program.  Values are
+    call before forwarding the call to the program.  Values are
     ints for (old, new) payloads and dicts {k: value} for payloads of
     (k, old, new) triples.  start gives each sender's value before its
     first delta: an int for every slot (phases I and II), or RowProgram's
@@ -227,10 +227,10 @@ def record_deliveries(program, start=None) -> DeliveryLog:
             return value
         return value[k] if k < len(value) else -1
 
-    def on_broadcast(targets, sender, payload):
-        targets = list(targets)
-        log.count += len(targets)
-        for state in targets:
+    def on_broadcast(states, rs, sender, payload, wake):
+        log.count += len(rs)
+        for r in rs:
+            state = states[r]
             seen = log.last.setdefault(id(state), {})
             if isinstance(payload[0], int):
                 old, new = payload
@@ -245,7 +245,7 @@ def record_deliveries(program, start=None) -> DeliveryLog:
                     else:
                         assert slots.get(k, before(sender, k)) == old, (sender, k, payload)
                     slots[k] = new
-        hook(targets, sender, payload)
+        hook(states, rs, sender, payload, wake)
 
     program.on_broadcast = on_broadcast
     return log

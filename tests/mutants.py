@@ -78,17 +78,42 @@ MUTANTS = (
     ),
     Mutant(
         "src/dcore/anchored.py",
-        "if a >= t:",
-        "if a > t:",
-        "RowProgram neither clips an old height at the row's bound nor marks the row",
+        "leaves = a >= t",
+        "leaves = a > t",
+        "RowProgram neither clips an old height at the row's bound nor checks the row",
         ("tests/test_skyline.py",),
     ),
     Mutant(
         "src/dcore/anchored.py",
-        "                    a = t\n                    dirty |= 1 << k",
-        "                    dirty |= 1 << k",
+        "                if leaves:\n                    a = t\n",
+        "",
         "RowProgram moves an old height above the row's bound out of a bucket it never filled",
         ("tests/test_skyline.py",),
+    ),
+    # The next three change only whom a fold wakes.  The two that wake too
+    # few leave values too high; the one that wakes too many changes no
+    # result or count, so only the test that every woken vertex emits
+    # catches it.
+    Mutant(
+        "src/dcore/anchored.py",
+        "hist[top] + hist[top + 1] < top:",
+        "hist[top] + hist[top + 1] < top - 1:",
+        "phase I wakes a vertex only when its support is below value - 1",
+        ("tests/test_anchored.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "st.hin[pos + t] < k or st.hout[pos + t] < t",
+        "st.hin[pos + t] < k",
+        "after init, RowProgram wakes a vertex only for a row short of in-neighbors",
+        ("tests/test_skyline.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "if new < top <= old and hist[top] + hist[top + 1] < top:",
+        "if new < top <= old:",
+        "phase I wakes every vertex whose top bucket loses a count, short or not",
+        ("tests/test_engine.py",),
     ),
     Mutant(
         "src/dcore/anchored.py",
@@ -163,8 +188,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/dcore/engine.py",
-        "on_broadcast(map(state_of, rs), s, payload)",
-        "on_broadcast(map(state_of, rs[:-1]), s, payload)",
+        "on_broadcast(states, rs, s, payload, wake)",
+        "on_broadcast(states, rs[:-1], s, payload, wake)",
         "every payload misses its last recipient",
         ("tests/test_engine.py",),
     ),

@@ -66,6 +66,7 @@ def test_report_phase_records_are_the_library_metrics(ref8_file, tmp_path):
                 "messages": m.messages_total,
                 "messages_per_step": m.messages_per_step,
                 "intra_messages": m.intra_messages,
+                "updates_per_step": m.updates_per_step,
             }
             for m in phases
         ], (algo, mode)

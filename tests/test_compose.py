@@ -6,8 +6,10 @@ own fold.  Each test draws a receiver state and a chain of payloads from
 one sender, as that sender emits them: every value only descends, and
 each payload's old value is the sender's value before it.  The chain is
 folded one payload at a time into one copy of the state and as one
-left-folded composition into another; the two copies must be equal.  A
-composed payload also never holds more ints than its parts together.
+left-folded composition into another; the two copies must be equal, and
+both ways must wake the receiver or neither, since held mail is folded
+before any vertex runs.  A composed payload also never holds more ints
+than its parts together.
 """
 
 import copy
@@ -45,12 +47,18 @@ def _composed(program, payloads):
 
 
 def _fold_both_ways(program, state, sender, payloads):
-    """(state after folding each payload, state after folding their composition)."""
-    apart, together = copy.deepcopy(state), copy.deepcopy(state)
+    """(state after folding each payload, state after folding their composition).
+
+    The state is recipient 0 of a one-vertex state list; checks that both
+    ways wake the same recipients.
+    """
+    apart, together = [copy.deepcopy(state)], [copy.deepcopy(state)]
+    woke_apart, woke_together = set(), set()
     for payload in payloads:
-        program.on_broadcast([apart], sender, payload)
-    program.on_broadcast([together], sender, _composed(program, payloads))
-    return apart, together
+        program.on_broadcast(apart, [0], sender, payload, woke_apart.add)
+    program.on_broadcast(together, [0], sender, _composed(program, payloads), woke_together.add)
+    assert woke_together == woke_apart
+    return apart[0], together[0]
 
 
 @st.composite

@@ -424,23 +424,127 @@ def test_extract_from_an_observer_changes_no_run():
 
 def test_long_path_updates_are_linear():
     g = build_graph(100, [(i, i + 1) for i in range(99)])
-    prog = HIndexFixpoint("in")
-    hook = prog.after_messages
     calls = []
+    _, metrics = run_program(_counting_calls(HIndexFixpoint("in"), calls), g)
+    assert metrics.supersteps == 100
+    # Init's payloads reach vertices 1..n-1, but only vertex 0's drop to 0
+    # leaves a support short, so round 1 runs vertex 1 alone; every later
+    # round runs only the successor of the vertex that just dropped.  Under
+    # Pregel's rule round 1 would run all n - 1 receivers, 197 calls in
+    # all, and a full sweep would make n * (supersteps - 1) = 9900.
+    assert calls == [(v, True) for v in range(1, g.n)]
+    assert len(calls) == metrics.supersteps - 1
+    assert metrics.updates_per_step == [0] + [1] * (metrics.supersteps - 1)
+
+
+def _waking_every_recipient(program):
+    """program under Pregel's rule: every delivery also wakes its recipient.
+
+    A seeded RowProgram recipient also gets every row marked dirty, so that
+    it walks each row, as a full rescan would, not only those its folds
+    marked short.
+    """
+    hook = program.on_broadcast
+
+    def on_broadcast(states, rs, sender, payload, wake):
+        hook(states, rs, sender, payload, wake)
+        for r in rs:
+            wake(r)
+            st = states[r]
+            if isinstance(program, RowProgram) and st.dirty >= 0:
+                st.dirty = (1 << len(st.arr)) - 1
+
+    program.on_broadcast = on_broadcast
+    return program
+
+
+def _counting_calls(program, calls):
+    """Wrap program.after_messages to append (v, whether it emitted) to calls."""
+    hook = program.after_messages
 
     def counting(state, v, g):
-        calls.append(v)
-        return hook(state, v, g)
+        payload = hook(state, v, g)
+        calls.append((v, payload is not None))
+        return payload
 
-    prog.after_messages = counting
-    _, metrics = run_program(prog, g)
-    assert metrics.supersteps == 100
-    # Round 1 runs the n - 1 receivers of init's payloads (vertex 0 gets no
-    # mail, ever); every later round runs only the successor of the vertex
-    # that just dropped.  A full sweep would make n * (supersteps - 1) =
-    # 9900 calls.
-    assert len(calls) == (g.n - 1) + (metrics.supersteps - 2)
-    assert 0 not in calls
+    program.after_messages = counting
+    return program
+
+
+def _state_fields(runs):
+    """A deep copy of every slot of every state, one list per program."""
+    return copy.deepcopy(
+        [[tuple(getattr(st, name) for name in type(st).__slots__) for st in sts] for sts in runs]
+    )
+
+
+def _watched_run(programs, g, parts, mode):
+    """(results, metrics, a snapshot of every state after every step)."""
+    snaps = []
+    results, metrics = run_programs(
+        programs, g, parts, mode, observer=lambda step, runs: snaps.append(_state_fields(runs))
+    )
+    return results, metrics, snaps
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_waking_only_short_supports_equals_waking_every_recipient(source, request):
+    # A round runs only the recipients whose support a fold left short.
+    # Waking every recipient instead, which is Pregel's rule, must change no
+    # state after any superstep, no result and no metric: the vertices left
+    # asleep would have found nothing to do.  It only runs more of them.
+    g = graph_from(source, request)
+    for parts in (None, make_partition("hash", g, 3), make_partition("seg", g, 4)):
+        mode = "vertex" if parts is None else "block"
+        for name, make in _program_factories(g).items():
+            woken = _watched_run((make(),), g, parts, mode)
+            every = _watched_run((_waking_every_recipient(make()),), g, parts, mode)
+            assert woken == every, (name, parts)
+            # the metrics compare equal whatever their updates are
+            updates = woken[1].updates_per_step, every[1].updates_per_step
+            assert all(a <= b for a, b in zip(*updates)), (name, parts)
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_every_woken_vertex_emits(source, request):
+    # The H-index fixpoints wake a vertex only when its support falls short
+    # of its value, so each run lowers it.  RowProgram wakes every init
+    # recipient to seed its in-tables; after that it wakes a vertex only
+    # for a row whose support falls short, so every later run emits.
+    g = graph_from(source, request)
+    factories = _program_factories(g)
+    for parts in (None, make_partition("hash", g, 3), make_partition("seg", g, 4)):
+        mode = "vertex" if parts is None else "block"
+        for name in ("kmax", "lmax", "refine", "skyline"):
+            calls = []
+            run_program(_counting_calls(factories[name](), calls), g, parts, mode)
+            if name in ("kmax", "lmax"):
+                assert all(emitted for _, emitted in calls), (name, parts)
+            else:
+                ran = set()
+                for v, emitted in calls:
+                    assert emitted or v not in ran, (name, parts, v)
+                    ran.add(v)
+
+
+@pytest.mark.parametrize("source", GRAPH_SOURCES)
+def test_updates_per_step_counts_the_after_messages_calls(source, request):
+    g = graph_from(source, request)
+    makes = {name: lambda make=make: (make(),) for name, make in _program_factories(g).items()}
+    makes["kmax+lmax"] = lambda: (HIndexFixpoint("in"), HIndexFixpoint("out"))
+    for parts in (None, make_partition("hash", g, 3)):
+        mode = "vertex" if parts is None else "block"
+        for name, make in makes.items():
+            calls = []
+            programs = [_counting_calls(program, calls) for program in make()]
+            per_step = []
+
+            def observer(step, runs):
+                per_step.append(len(calls) - sum(per_step))
+
+            _, metrics = run_programs(programs, g, parts, mode, observer=observer)
+            assert metrics.updates_per_step == per_step, (name, parts)
+            assert per_step[0] == 0  # init runs no after_messages
 
 
 def _assert_each_payload_arrives_once_in_order(g, logs):

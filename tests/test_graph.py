@@ -63,6 +63,11 @@ def test_parse_n_header_declares_isolated_vertices():
     assert parse_edge_list("# n=x\n# n=3\n0 1\n").n == 3
     # only the first header counts, so a later one is a plain comment
     assert parse_edge_list("# n=2\n# n=5\n0 1\n").n == 2
+    # the count follows the label rule, ASCII -?[0-9]+, so int()'s other
+    # forms (1_0, +3, the Arabic-Indic digit three) make a plain comment
+    for count in ("1_0", "+3", "\u0663"):
+        assert parse_edge_list(f"# n={count}\n0 1\n").n == 2, count
+        assert parse_edge_list(f"# n={count}\n# n=4\n0 1\n").n == 4, count
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -86,6 +91,24 @@ def test_parse_errors_name_the_line(text, fragment):
         parse_edge_list(text)
     with pytest.raises(EdgeListError, match=fragment):
         parse_edge_list(io.StringIO(text))
+
+
+@pytest.mark.parametrize("label", ["1_0", "+1", "\u0663", "\uff12"])
+def test_a_bad_label_among_clean_lines_names_its_line(label):
+    # A str is checked line by line only when the whole text holds a
+    # character outside ASCII, "_" or "+"; the error must still name the line.
+    clean = "".join(f"{u} {u + 1}\n" for u in range(5))
+    for text in (clean + f"{label} 3\n" + clean, clean + f"3 {label}\n"):
+        with pytest.raises(EdgeListError, match="line 6: non-integer vertex label"):
+            parse_edge_list(text)
+        with pytest.raises(EdgeListError, match="line 6: non-integer vertex label"):
+            parse_edge_list(io.StringIO(text))
+
+
+def test_suspect_characters_in_comments_are_not_labels():
+    text = "# a_b +c \u0663\n0 1\n# n=+2\n1 2\n"
+    assert parse_edge_list(text) == parse_edge_list(io.StringIO(text))
+    assert parse_edge_list(text).labels == [0, 1, 2]
 
 
 def test_leading_zeros_and_signs_read_as_one_label():
