@@ -178,9 +178,10 @@ class LuppProgram(VertexProgram):
     every slot, so the one init message, the exclusion (width, lmax, -1)
     with width = kmax + 1, takes the sender out of the slots it is not in:
     new = -1 means "no longer counted here", for every slot from width on.
-    Only a vertex with an in-neighbor of larger kmax (excludes) sends it; a
-    vertex runs only when an exclusion takes a count from the top of its
-    slots, or a drop leaves a slot's top bucket below the slot's value.
+    Only a vertex with an in-neighbor of larger kmax (excludes) sends it.
+    A vertex runs only when a fold leaves a slot's top bucket below the
+    slot's value.  Exclusions take counts from suffixes of slots that all
+    start equal, so an exclusion checks only the last slot, the shortest.
     after_messages walks each slot whose top bucket falls short down its
     buckets to its H-index, in ascending k, and writes the count of the
     buckets it passed into the new top, which leaves the slot clipped there.
@@ -217,7 +218,8 @@ class LuppProgram(VertexProgram):
                     b = old if old < a else a
                     for i in range(k * stride + b, len(hist), stride):
                         hist[i] -= 1
-                    if b == a:
+                    # exclusions take from suffixes, so the last slot is shortest
+                    if hist[(width - 1) * stride + a] < a:
                         wake(r)
                 elif new < a:
                     base = k * stride
@@ -284,11 +286,12 @@ class _RowState:
     on the smaller of the two sides to the tables it counts in, one or
     both; every other neighbor counts in other, the larger side's table,
     which keeps the map to about half the degree.  The tuples hold hin and
-    hout themselves, so `tables[-1] is hout` tells an out-neighbor.  dirty
-    is a bitmask of rows, -1 until the first after_messages calls seed.
+    hout themselves, so `tables[-1] is hout` tells an out-neighbor.  seeded
+    turns True when seed runs, in the first after_messages, or at init for
+    a vertex with no in-neighbor, which has nothing to seed.
     """
 
-    __slots__ = ("arr", "width", "side", "other", "hin", "hout", "dirty")
+    __slots__ = ("arr", "width", "side", "other", "hin", "hout", "seeded")
 
     def __init__(self, v, g, arr, hout):
         self.arr, self.width = arr, len(hout) // len(arr)
@@ -305,10 +308,10 @@ class _RowState:
         for u in side.keys() & larger:
             side[u] = both
         self.side = side
-        self.dirty = -1
+        self.seeded = False
 
-    def seed(self) -> int:
-        """Turn the init counts into clipped in-histograms; return every row's bit.
+    def seed(self) -> None:
+        """Turn the init counts into clipped in-histograms.
 
         Row k of hin becomes the sum of rows k.., so it counts each
         in-neighbor that reaches k at its height there, and its buckets
@@ -321,7 +324,31 @@ class _RowState:
             if t < width - 1:
                 top = k * width + t
                 hin[top] = sum(hin[top : (k + 1) * width])
-        return (1 << len(arr)) - 1
+        self.seeded = True
+
+    def lower(self) -> tuple | None:
+        """Walk every short row down; return the (k, old, new) triples or None.
+
+        Row k at height t is short when fewer than k in-neighbors or than t
+        out-neighbors reach t.  It walks to the largest l with both supports,
+        or to 0, folding the buckets it passes into its new top: the
+        counting computeIndex in two dimensions.
+        """
+        arr, hin, hout, width = self.arr, self.hin, self.hout, self.width
+        changed = []
+        for k, t in enumerate(arr):
+            l = t
+            base = k * width
+            ci, co = hin[base + l], hout[base + l]
+            while l and (ci < k or co < l):
+                l -= 1
+                ci += hin[base + l]
+                co += hout[base + l]
+            if l < t:
+                hin[base + l], hout[base + l] = ci, co
+                arr[k] = l
+                changed.append((k, t, l))
+        return tuple(changed) or None
 
 
 class RowProgram(VertexProgram):
@@ -358,14 +385,13 @@ class RowProgram(VertexProgram):
     out-neighbors, which count the runs in their in-tables; an excluding
     vertex sends it to all its neighbors, and those that count it in
     their out-table take it out of their rows past its last.  A vertex
-    with no in-neighbor may get no init mail, so it walks its one row at
-    init.  Row k of _RowState's hin/hout is the histogram of the in-/
-    out-neighbors' heights at k, clipped at arr[k].  A row turns dirty,
-    and its vertex is woken, only when a count leaves its top bucket and
+    with no in-neighbor may get no init mail and has no in-table to seed,
+    so it walks its one row at init.  Row k of _RowState's hin/hout is the
+    histogram of the in-/out-neighbors' heights at k, clipped at arr[k].
+    A vertex is woken only when a count leaves a row's top bucket and
     leaves it short of k in-neighbors or of arr[k] out-neighbors; every
-    init recipient is woken to seed.  after_messages walks each dirty row
-    down, folding the buckets it passes into the new top: the
-    counting computeIndex in two dimensions.
+    init recipient is woken to seed.  after_messages walks every short
+    row down (_RowState.lower).
     """
 
     broadcast = "both"
@@ -382,15 +408,10 @@ class RowProgram(VertexProgram):
         arr, hout = self.starts[v]
         st = _RowState(v, g, arr, hout)
         if not g.in_adj[v]:
-            # kmax(v) = 0 and nothing to seed: walk the one row, which needs
-            # only out-neighbors, now, since no init may reach v
-            l = arr[0]
-            c = hout[l]
-            while c < l:
-                l -= 1
-                c += hout[l]
-            hout[l], arr[0] = c, l
-            st.dirty = 0
+            # kmax(v) = 0 and no in-table to seed: walk the one row, which
+            # needs only out-neighbors, now, since no init may reach v
+            st.seeded = True
+            st.lower()
         last = len(arr) - 1
         runs = tuple((k, -1, a) for k, a in enumerate(arr) if k == last or arr[k + 1] != a)
         return st, runs
@@ -408,8 +429,7 @@ class RowProgram(VertexProgram):
         triple moves one count per table of the sender's side, from the old
         height clipped to arr[k] to the new one, unless the new height is at
         or above arr[k]; when the count leaves row k's top bucket and
-        either support there falls short, row k turns dirty and the
-        recipient is woken.
+        either support there falls short, the recipient is woken.
         """
         if payload[0][1] < 0:
             excludes = self.excludes is not None and self.excludes[sender]
@@ -460,36 +480,12 @@ class RowProgram(VertexProgram):
                     h[pos + a] -= 1
                     h[pos + b] += 1
                 if leaves and (st.hin[pos + t] < k or st.hout[pos + t] < t):
-                    st.dirty |= 1 << k
                     wake(r)
 
     def after_messages(self, st, v, g):
-        dirty = st.dirty
-        if not dirty:
-            return None
-        if dirty < 0:
-            dirty = st.seed()
-        st.dirty = 0
-        arr, hin, hout, width = st.arr, st.hin, st.hout, st.width
-        changed = []
-        while dirty:
-            low = dirty & -dirty
-            dirty ^= low
-            k = low.bit_length() - 1
-            t = l = arr[k]
-            base = k * width
-            ci, co = hin[base + l], hout[base + l]
-            while l and (ci < k or co < l):
-                l -= 1
-                ci += hin[base + l]
-                co += hout[base + l]
-            if l < t:
-                hin[base + l], hout[base + l] = ci, co
-                arr[k] = l
-                changed.append((k, t, l))
-        if changed:
-            return tuple(changed)
-        return None
+        if not st.seeded:
+            st.seed()
+        return st.lower()
 
     def compose(self, first, then):
         return compose_triples(first, then)

@@ -90,10 +90,10 @@ MUTANTS = (
         "RowProgram moves an old height above the row's bound out of a bucket it never filled",
         ("tests/test_skyline.py",),
     ),
-    # The next three change only whom a fold wakes.  The two that wake too
-    # few leave values too high; the one that wakes too many changes no
+    # The next five change only whom a fold wakes.  The three that wake too
+    # few leave values too high; the two that wake too many change no
     # result or count, so only the test that every woken vertex emits
-    # catches it.
+    # catches them.
     Mutant(
         "src/dcore/anchored.py",
         "hist[top] + hist[top + 1] < top:",
@@ -114,6 +114,34 @@ MUTANTS = (
         "if new < top <= old:",
         "phase I wakes every vertex whose top bucket loses a count, short or not",
         ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "if hist[(width - 1) * stride + a] < a:",
+        "if b == a:",
+        "phase II wakes on every exclusion that takes a count from the top, short or not",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "(width - 1) * stride + a",
+        "k * stride + a",
+        "phase II checks the first slot an exclusion reaches, not the last and shortest",
+        ("tests/test_anchored.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "for k, t in enumerate(arr):\n            l = t\n",
+        "for k, t in enumerate(arr[:-1]):\n            l = t\n",
+        "RowProgram never lowers a vertex's last row",
+        ("tests/test_skyline.py",),
+    ),
+    Mutant(
+        "src/dcore/anchored.py",
+        "while l and (ci < k or co < l):",
+        "while l and co < l:",
+        "RowProgram lowers a row only while it is short of out-neighbors",
+        ("tests/test_skyline.py",),
     ),
     Mutant(
         "src/dcore/anchored.py",

@@ -340,13 +340,14 @@ def _refine_checker(starts):
 
     An in-neighbor counts from its init message on.  An out-neighbor
     counts at its start height in every row it has (starts[u]) until it
-    delivers a drop there, since the out-table came with the start.  A
-    slot whose dirty bit is clear must have both supports, or it would
-    never be checked again.
+    delivers a drop there, since the out-table came with the start.  From
+    step 2 on every state is seeded, and every row must have both
+    supports: a row left short would wait for a fold to wake its vertex.
     """
 
     def check(g, states, log):
         for v, st in enumerate(states):
+            assert st.seeded, v
             delivered = log.last.get(id(st), {})
             for k, a in enumerate(st.arr):
                 ins = [delivered.get(u, {}).get(k, -1) for u in g.in_adj[v]]
@@ -357,8 +358,7 @@ def _refine_checker(starts):
                 row = slice(k * st.width, k * st.width + a + 1)
                 assert st.hin[row] == clipped_histogram(ins, a), (v, k)
                 assert st.hout[row] == clipped_histogram(outs, a), (v, k)
-                if a and not st.dirty >> k & 1:
-                    assert st.hin[row.stop - 1] >= k and st.hout[row.stop - 1] >= a, (v, k)
+                assert st.hin[row.stop - 1] >= k and st.hout[row.stop - 1] >= a, (v, k)
 
     return check
 
@@ -482,3 +482,20 @@ def test_phase2_init_senders_are_the_vertices_below_an_in_neighbor(ref8):
     assert metrics.messages_per_step[0] == sum(len(ref8.in_adj[v]) for v in want)
     # phase II only reads its seeds
     assert seeds == _phase_one(ref8)[0]
+
+
+def test_phase2_wakes_on_the_exclusion_that_leaves_the_last_slot_short():
+    # Vertex 0 has kmax 3 (in-neighbors 3, 4, 5 of the 4-clique 3..6) and
+    # lmax 1, over its two out-neighbors, 1 (kmax 2) and 2 (kmax 1), both
+    # at lmax 1.  Each takes itself out of 0's slots past its kmax, and 1's
+    # exclusion arrives first: it leaves slot 3 one count, which is enough.
+    # 2's then leaves slot 2 one count and slot 3 none, short of 1.  No
+    # later drop reaches vertex 0, so only that exclusion's wake lowers
+    # l_upp(0, 3) to 0: vertex 0 has no out-neighbor in G[3].
+    clique = [(u, v) for u in range(3, 7) for v in range(3, 7) if u != v]
+    g = build_graph(7, clique + [(3, 0), (4, 0), (5, 0), (0, 1), (0, 2), (3, 1), (1, 3), (2, 3)])
+    seeds, kmaxes, lmaxes = _phase_one(g)
+    assert (kmaxes[:3], lmaxes[:3]) == ([3, 2, 1], [1, 1, 1])
+    lupps, metrics = compute_lupp(g, seeds)
+    assert [arr for arr, _ in lupps] == [[1, 1, 1, 0], [1, 1, 1], [1, 1]] + [[3] * 4] * 4
+    assert metrics.messages_per_step == [3, 3, 0]

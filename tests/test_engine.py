@@ -440,9 +440,8 @@ def test_long_path_updates_are_linear():
 def _waking_every_recipient(program):
     """program under Pregel's rule: every delivery also wakes its recipient.
 
-    A seeded RowProgram recipient also gets every row marked dirty, so that
-    it walks each row, as a full rescan would, not only those its folds
-    marked short.
+    Every program rescans all its rows or slots when it runs, so waking is
+    all a full rescan needs.
     """
     hook = program.on_broadcast
 
@@ -450,9 +449,6 @@ def _waking_every_recipient(program):
         hook(states, rs, sender, payload, wake)
         for r in rs:
             wake(r)
-            st = states[r]
-            if isinstance(program, RowProgram) and st.dirty >= 0:
-                st.dirty = (1 << len(st.arr)) - 1
 
     program.on_broadcast = on_broadcast
     return program
@@ -507,18 +503,20 @@ def test_waking_only_short_supports_equals_waking_every_recipient(source, reques
 
 @pytest.mark.parametrize("source", GRAPH_SOURCES)
 def test_every_woken_vertex_emits(source, request):
-    # The H-index fixpoints wake a vertex only when its support falls short
-    # of its value, so each run lowers it.  RowProgram wakes every init
-    # recipient to seed its in-tables; after that it wakes a vertex only
-    # for a row whose support falls short, so every later run emits.
+    # The H-index fixpoints and phase II wake a vertex only when a support
+    # falls short of its value, so each run lowers it; phase II's init is
+    # an exclusion, which wakes only when it leaves the last slot short.
+    # RowProgram wakes every init recipient to seed its in-tables; after
+    # that it wakes a vertex only for a row whose support falls short, so
+    # every later run emits.
     g = graph_from(source, request)
     factories = _program_factories(g)
     for parts in (None, make_partition("hash", g, 3), make_partition("seg", g, 4)):
         mode = "vertex" if parts is None else "block"
-        for name in ("kmax", "lmax", "refine", "skyline"):
+        for name in ("kmax", "lmax", "lupp", "refine", "skyline"):
             calls = []
             run_program(_counting_calls(factories[name](), calls), g, parts, mode)
-            if name in ("kmax", "lmax"):
+            if name in ("kmax", "lmax", "lupp"):
                 assert all(emitted for _, emitted in calls), (name, parts)
             else:
                 ran = set()

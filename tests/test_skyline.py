@@ -421,8 +421,10 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
     # hin/hout, from the last height each neighbor delivered at k, as the
     # test records it from the deltas; an out-neighbor that delivered none
     # there counts at its start, which the out-table came with.  After init
-    # (step 1) no message has been delivered and every row is still dirty.
-    # The recorder must also see every delivery the engine counts.
+    # (step 1) no message has been delivered and only the vertices with no
+    # in-neighbor are seeded; after that every state is.  Every row of a
+    # seeded state has both supports.  The recorder must also see every
+    # delivery the engine counts.
     g = graph_from(source, request)
     tight = tight_pairs(g)
     loose = [(K, len(g.out_adj[v])) for v, (K, _) in enumerate(tight)]
@@ -437,8 +439,7 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
                 (states,) = runs
                 for v, st in enumerate(states):
                     heights = log.last.get(id(st), {})
-                    if step > 1:
-                        assert st.dirty == 0
+                    assert st.seeded == (step > 1 or not g.in_adj[v]), v
                     for k, t in enumerate(st.arr):
                         ins = [heights.get(u, {}).get(k, -1) for u in g.in_adj[v]]
                         outs = [
@@ -450,6 +451,8 @@ def test_support_histograms_equal_a_recount_after_every_superstep(source, reques
                         row = slice(k * st.width, k * st.width + t + 1)
                         assert st.hin[row] == clipped_histogram(ins, t), (v, k)
                         assert st.hout[row] == clipped_histogram(outs, t), (v, k)
+                        if st.seeded:
+                            assert st.hin[row.stop - 1] >= k and st.hout[row.stop - 1] >= t
                 steps.append(step)
 
             _, metrics = run_program(program, g, parts, mode, observer=observe)
